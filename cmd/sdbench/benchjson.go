@@ -70,11 +70,6 @@ type workloadJSON struct {
 	// commit keeps it well below 1 (one fsync acknowledges a whole commit
 	// window); the diff gate fails if it collapses toward one-fsync-per-write.
 	FsyncsPerOp float64 `json:"fsyncs_per_op,omitempty"`
-	// CoalescedBatchMean is the serve workload's mean coalesced batch size —
-	// queries per BatchTopK call executed by the admission layer. > 1 means
-	// request coalescing is actually batching concurrent traffic; the diff
-	// gate fails if it collapses back to 1.
-	CoalescedBatchMean float64 `json:"coalesced_batch_mean,omitempty"`
 	// Availability is the cluster failover workload's fraction of reads
 	// answered 200 across a measurement window that contains a hard leader
 	// kill. The router's retry/failover machinery is what holds it at ~1.0;
@@ -604,10 +599,10 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 		report.Workloads = append(report.Workloads, dw)
 	}
 
-	// Serve load: end-to-end HTTP latency/throughput through the coalescing
-	// admission layer, closed-loop clients over real TCP. Like the sharded
-	// batch workload it elevates GOMAXPROCS to NumCPU for its lifetime —
-	// the serving layer's whole point is concurrent traffic.
+	// Serve load: end-to-end HTTP latency/throughput through the serving
+	// layer, closed-loop clients over real TCP. Like the sharded batch
+	// workload it elevates GOMAXPROCS to NumCPU for its lifetime — the
+	// serving layer's whole point is concurrent traffic.
 	if err := func() error {
 		prev := runtime.GOMAXPROCS(0)
 		procs := prev

@@ -147,16 +147,6 @@ func diffAgainstBaseline(baselinePath string, fresh benchJSON) error {
 			violations = append(violations, fmt.Sprintf(
 				"workload %q: %d allocs/op, baseline guarantees 0", b.Name, f.AllocsPerOp))
 		}
-		// Coalescing gate: a baseline that batched concurrent traffic
-		// (mean coalesced batch size > 1) must keep batching. A collapse to
-		// ≤ 1 means every request executes its own fan-out again — the
-		// admission layer has silently stopped doing its job, whatever the
-		// latency numbers say.
-		if b.CoalescedBatchMean > 1 && f.CoalescedBatchMean <= 1 {
-			violations = append(violations, fmt.Sprintf(
-				"workload %q: coalesced_batch_mean %.2f, baseline %.2f — request coalescing stopped batching",
-				b.Name, f.CoalescedBatchMean, b.CoalescedBatchMean))
-		}
 		// Cache gate: a baseline that achieved a real hit rate under Zipf
 		// traffic must not collapse to under half of it. Hit-rate noise
 		// run-to-run is small (the workload is seeded); a halving means the

@@ -21,15 +21,12 @@ import (
 
 // Serve load workload: spin the HTTP serving layer up in-process, drive it
 // with a closed-loop client pool over real TCP connections, and report
-// end-to-end request latency (mean/p50/p99), throughput, and the mean
-// coalesced batch size. This is the end-to-end figure the serving layer is
-// accountable for — engine time plus coalescing delay plus HTTP overhead —
-// and the coalesced_batch_mean > 1 expectation is what proves the admission
-// layer actually batches under concurrent load (the diff gate enforces it
-// against the committed baseline).
+// end-to-end request latency (mean/p50/p99) and throughput. This is the
+// end-to-end figure the serving layer is accountable for: engine time plus
+// HTTP overhead.
 
 // serveClients is the closed-loop client count: enough concurrency to keep
-// batches forming on small CI machines without drowning them.
+// every core busy on small CI machines without drowning them.
 func serveClients() int {
 	c := 2 * runtime.GOMAXPROCS(0)
 	if c < 8 {
@@ -69,10 +66,7 @@ func runServeLoad(scale float64, queryCount int, seed int64, totalOps int, hot b
 		return w, err
 	}
 	defer idx.Close()
-	srvOpts := []serve.Option{
-		serve.WithCoalesceWindow(time.Millisecond),
-		serve.WithQueueDepth(8192),
-	}
+	srvOpts := []serve.Option{serve.WithQueueDepth(8192)}
 	if hot {
 		srvOpts = append(srvOpts, serve.WithResultCache(true), serve.WithCacheCapacity(hotCacheCapacity))
 	}
@@ -195,7 +189,6 @@ func runServeLoad(scale float64, queryCount int, seed int64, totalOps int, hot b
 	w.AllocsPerOp = -1 // cross-goroutine HTTP path: no per-op attribution
 	w.BytesPerOp = -1
 	w.QPS = float64(len(all)) / wall.Seconds()
-	w.CoalescedBatchMean = st.CoalescedBatchMean
 	if hot {
 		w.CacheHitRate = st.CacheHitRate
 		// The hit path's allocation count IS attributable: ProbeCache runs
@@ -235,7 +228,6 @@ func runServeStandalone(scale float64, queryCount int, seed int64) {
 	fmt.Printf("%-22s %12.2f\n", "mean latency (ms)", float64(w.NsPerOp)/1e6)
 	fmt.Printf("%-22s %12.2f\n", "p50 latency (ms)", float64(w.P50NsPerOp)/1e6)
 	fmt.Printf("%-22s %12.2f\n", "p99 latency (ms)", float64(w.P99NsPerOp)/1e6)
-	fmt.Printf("%-22s %12.2f\n", "mean coalesced batch", w.CoalescedBatchMean)
 }
 
 func jsonFloats(vals []float64) string {

@@ -1,6 +1,6 @@
 // Command sdserver serves SD-Queries over HTTP: the production front end of
-// the engine (package serve), with request coalescing, a hot-query result
-// cache, backpressure, and zero-downtime index swaps.
+// the engine (package serve), with a hot-query result cache, backpressure,
+// and zero-downtime index swaps.
 //
 // Serve a CSV dataset (roles as one letter per column — a/r/i):
 //
@@ -69,12 +69,9 @@ func main() {
 		syncF    = flag.String("sync", "always", "WAL fsync policy: always (fsync before each 200), interval (timer), never (rotation/shutdown only)")
 		syncIntF = flag.Duration("sync-interval", 100*time.Millisecond, "fsync cadence under -sync interval")
 
-		window   = flag.Duration("coalesce-window", 500*time.Microsecond, "how long the first query of a batch waits for company (0 batches only what is queued; negative disables coalescing)")
-		maxBatch = flag.Int("max-batch", 64, "maximum queries per coalesced batch")
-		queue    = flag.Int("queue", 1024, "admission queue depth for /v1/topk (full queue answers 429)")
-		execs    = flag.Int("executors", 0, "concurrent coalesced batches (≤ 0 selects GOMAXPROCS)")
-		timeout  = flag.Duration("timeout", 0, "per-request deadline enforced mid-query (0 disables)")
-		drainT   = flag.Duration("drain-timeout", 15*time.Second, "maximum graceful-drain wait on SIGTERM")
+		queue   = flag.Int("queue", 1024, "concurrent /v1/topk engine calls (beyond it, requests answer 429)")
+		timeout = flag.Duration("timeout", 0, "per-request deadline enforced mid-query (0 disables)")
+		drainT  = flag.Duration("drain-timeout", 15*time.Second, "maximum graceful-drain wait on SIGTERM")
 
 		cache    = flag.Bool("cache", true, "hot-query result cache with heavy-hitter admission")
 		cacheCap = flag.Int("cache-capacity", 1024, "maximum resident cached answers")
@@ -86,17 +83,12 @@ func main() {
 	flag.Parse()
 
 	opts := []serve.Option{
-		serve.WithCoalesceWindow(*window),
 		serve.WithPromotionWALDir(*promoteDir),
-		serve.WithMaxBatch(*maxBatch),
 		serve.WithQueueDepth(*queue),
 		serve.WithRequestTimeout(*timeout),
 		serve.WithResultCache(*cache),
 		serve.WithCacheCapacity(*cacheCap),
 		serve.WithLoadOptions(sdquery.WithWorkers(*workers)),
-	}
-	if *execs > 0 {
-		opts = append(opts, serve.WithExecutors(*execs))
 	}
 	var srv *serve.Server
 	if *follow != "" {

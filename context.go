@@ -71,8 +71,8 @@ func (s *ShardedIndex) TopKAppendContext(ctx context.Context, dst []Result, q Qu
 // BatchTopKContext is BatchTopK honoring the context's cancellation and
 // deadline: every in-flight (query × shard) task polls the same Done
 // channel, so a cancelled batch unwinds within one scheduling step per
-// task. The serving layer's coalescer runs its batches through this, so a
-// batch whose every waiter has timed out stops consuming the engine.
+// task. The serving layer's /v1/batch endpoint runs through this, so a
+// batch whose request has timed out stops consuming the engine.
 func (s *ShardedIndex) BatchTopKContext(ctx context.Context, queries []Query) ([][]Result, error) {
 	out, err := s.batchTopK(queries, ctx.Done())
 	if err != nil {

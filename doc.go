@@ -109,19 +109,21 @@
 //
 // Package repro/serve and cmd/sdserver put the engine behind an HTTP/JSON
 // API (POST /v1/topk, /v1/batch, /v1/insert, DELETE /v1/points/{id}, plus
-// /healthz, /metrics in Prometheus text format, and /statz). The serving
-// layer coalesces concurrently-arriving single queries into BatchTopK
-// calls (bounded window and batch size, riding the pooled batch path
-// above), answers 429 with Retry-After when its bounded admission queue
-// fills, and enforces per-request deadlines through TopKContext /
-// TopKAppendContext: the aggregation loop polls the context's Done channel
-// once per scheduling step, so a cancelled or timed-out query stops within
-// one adaptive batch and releases every pooled buffer. POST /v1/admin/swap
+// /healthz, /metrics in Prometheus text format, and /statz). Each /v1/topk
+// request is one TopKContext call on the serving index: the aggregation's
+// state (isolines, frontier bounds, stopping threshold) is per query, so
+// batching concurrent queries would share no work. The layer answers 429
+// with Retry-After once the bounded number of concurrent engine calls
+// (sdserver -queue) is in flight, and enforces per-request deadlines
+// through TopKContext / TopKAppendContext: the aggregation loop polls the
+// context's Done channel once per scheduling step, so a cancelled or
+// timed-out query stops within one adaptive batch and releases every
+// pooled buffer. POST /v1/admin/swap
 // loads a persisted index and publishes it with one atomic pointer store —
 // in-flight queries finish on the index they grabbed, so no request ever
 // observes a torn index — and SIGTERM drains gracefully (healthz flips to
 // 503, in-flight requests finish, then the process exits). A hot-query
-// result cache (serve.WithResultCache) sits between admission and the
+// result cache (serve.WithResultCache) sits in front of admission and the
 // engine: entries are keyed on canonical query bytes and versioned by the
 // snapshot epoch every publish bumps, so swap/compaction invalidation is
 // free and hits stay byte-identical to the live engine; a HeavyKeeper

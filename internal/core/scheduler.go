@@ -101,6 +101,12 @@ func (c *queryCtx) pollCancel() bool {
 	}
 }
 
+// beforeClampHook, when non-nil, runs in runBoundDriven between a step's
+// retirement check and its batch-size clamp: the window in which a sibling
+// segment task can raise the shared floor. Tests set it to raise the floor
+// there deterministically; it is nil otherwise.
+var beforeClampHook func(c *queryCtx)
+
 // runBoundDriven is the SchedBoundDriven aggregation loop. The schedule is
 // driven by the subproblems' frontier-bound telemetry: each step drains the
 // subproblem whose bound is falling fastest per sorted access (the measured
@@ -225,8 +231,20 @@ func (c *queryCtx) runBoundDriven(qpt []float64, stats *Stats) {
 				size = rem
 			}
 		} else if r := rate[best]; r > 0 {
+			if beforeClampHook != nil {
+				beforeClampHook(c)
+			}
 			if line, ok := c.pruneLine(); ok {
-				if gap := segSum[bs] + segPad[bs] - line; gap/r < float64(size-1) {
+				gap := segSum[bs] + segPad[bs] - line
+				if gap < 0 {
+					// A sibling segment task raised the shared floor past
+					// this segment since the retirement check above: retire
+					// it now, exactly as that check would have. (Sequentially
+					// the line cannot move in between, so gap ≥ 0 here.)
+					segDone[bs] = true
+					continue
+				}
+				if gap/r < float64(size-1) {
 					size = int(gap/r) + 1
 				}
 			}

@@ -137,9 +137,26 @@ func TestSaveLoadShardedRoundTrip(t *testing.T) {
 	defer idx.Close()
 	churn(t, idx, len(roles), 250, 52)
 
+	// Background compaction keeps publishing after the churn, so a Bytes
+	// figure read around Save may describe a different snapshot than the
+	// saved one. Bracket the read and the Save with Epoch: an unchanged
+	// epoch proves no shard published in between, so wantBytes is exactly
+	// the saved snapshot's.
 	var buf bytes.Buffer
-	if err := idx.Save(&buf); err != nil {
-		t.Fatal(err)
+	var wantBytes int
+	for attempt := 0; ; attempt++ {
+		if attempt == 1000 {
+			t.Fatal("index never held still for one Save")
+		}
+		epoch := idx.Epoch()
+		wantBytes = idx.Bytes()
+		buf.Reset()
+		if err := idx.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if idx.Epoch() == epoch {
+			break
+		}
 	}
 	eng, err := Load(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -156,8 +173,8 @@ func TestSaveLoadShardedRoundTrip(t *testing.T) {
 	if loaded.Len() != idx.Len() {
 		t.Fatalf("Len: loaded %d, saved %d", loaded.Len(), idx.Len())
 	}
-	if loaded.Bytes() != idx.Bytes() {
-		t.Fatalf("Bytes: loaded %d, saved %d", loaded.Bytes(), idx.Bytes())
+	if loaded.Bytes() != wantBytes {
+		t.Fatalf("Bytes: loaded %d, saved %d", loaded.Bytes(), wantBytes)
 	}
 	for _, q := range persistQueries(len(roles), roles, 53) {
 		want, err := idx.TopK(q)

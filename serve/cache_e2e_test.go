@@ -40,7 +40,7 @@ func statzOf(t *testing.T, client *http.Client, base string) Statz {
 // survived its epoch would surface as a byte mismatch here.
 func TestCacheDifferentialUnderChurn(t *testing.T) {
 	idx := testIndex(t, 2000, 11, sdquery.WithMemtableSize(64))
-	srv := New(idx, WithResultCache(true), WithCacheCapacity(64), WithCoalesceWindow(0))
+	srv := New(idx, WithResultCache(true), WithCacheCapacity(64))
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -107,7 +107,7 @@ func TestCacheDifferentialUnderChurn(t *testing.T) {
 func TestCacheInvalidationOnSwap(t *testing.T) {
 	idxA := testIndex(t, 600, 1)
 	idxB := testIndex(t, 600, 2)
-	srv := New(idxA, WithResultCache(true), WithCoalesceWindow(0))
+	srv := New(idxA, WithResultCache(true))
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -144,11 +144,12 @@ func TestCacheInvalidationOnSwap(t *testing.T) {
 	}
 }
 
-// TestCoalescedSwapDims is the regression test for the decode/execute race:
-// a query decoded against a 4-dim index, parked in the coalescing window
-// while a swap publishes a 3-dim index, must still execute against the
-// 4-dim index it was validated for (and answer its bytes) — not be handed
-// to an index where its dimensionality is wrong.
+// TestCoalescedSwapDims is the regression test for the decode/execute race
+// (first found when queries waited in a coalescing window): a query decoded
+// against a 4-dim index, parked in the engine while a swap publishes a
+// 3-dim index, must still execute against the 4-dim index it was validated
+// for (and answer its bytes) — not be handed to an index where its
+// dimensionality is wrong.
 func TestCoalescedSwapDims(t *testing.T) {
 	idxA := testIndex(t, 400, 4)
 	roles3 := []sdquery.Role{sdquery.Repulsive, sdquery.Attractive, sdquery.Repulsive}
@@ -158,9 +159,10 @@ func TestCoalescedSwapDims(t *testing.T) {
 	}
 	t.Cleanup(idxB.Close)
 
-	// A long window parks the first request in the collector while the swap
-	// lands.
-	srv := New(idxA, WithCoalesceWindow(400*time.Millisecond))
+	// The gate parks the first request inside idxA's engine call while the
+	// swap lands.
+	slowA := &slowIndex{Index: idxA, gate: make(chan struct{})}
+	srv := New(slowA)
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -183,9 +185,10 @@ func TestCoalescedSwapDims(t *testing.T) {
 		status, body, err := postE(client, ts.URL+"/v1/topk", queryBody(t, q))
 		done <- reply{status, body, err}
 	}()
-	// Let the request decode and enqueue, then swap mid-window.
+	// Let the request decode and park, then swap under it.
 	time.Sleep(120 * time.Millisecond)
 	srv.Swap(idxB)
+	close(slowA.gate)
 	r := <-done
 	if r.err != nil {
 		t.Fatal(r.err)
@@ -221,9 +224,7 @@ func TestStatusFor(t *testing.T) {
 		err  error
 		want int
 	}{
-		{"queue full", errQueueFull, http.StatusTooManyRequests},
 		{"deadline", context.DeadlineExceeded, http.StatusServiceUnavailable},
-		{"draining", errDraining, http.StatusServiceUnavailable},
 		{"canceled", context.Canceled, statusClientClosedRequest},
 		{"wrapped canceled", fmt.Errorf("shard 3: %w", context.Canceled), statusClientClosedRequest},
 		{"wrapped deadline", fmt.Errorf("shard 1: %w", context.DeadlineExceeded), http.StatusServiceUnavailable},
@@ -242,7 +243,7 @@ func TestStatusFor(t *testing.T) {
 func TestClientDisconnectCounted(t *testing.T) {
 	idx := testIndex(t, 400, 12)
 	slow := &slowIndex{Index: idx, gate: make(chan struct{})}
-	srv := New(slow, WithCoalesceWindow(0))
+	srv := New(slow)
 	defer srv.Close()
 	defer close(slow.gate)
 	ts := httptest.NewServer(srv.Handler())

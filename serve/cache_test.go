@@ -143,7 +143,7 @@ func TestCacheAdmission(t *testing.T) {
 // TestCacheZeroAllocHit gates the fast path: once a key is resident, the
 // full hit sequence — pooled key buffer, canonical encode, hash, lookup,
 // version check — performs zero heap allocations. This is the property that
-// lets a hot query skip the coalescer queue without becoming a GC tax.
+// lets a hot query skip the engine without becoming a GC tax.
 func TestCacheZeroAllocHit(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed by -race instrumentation")

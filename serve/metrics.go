@@ -111,11 +111,6 @@ type metrics struct {
 	clientGone [nEndpoints]atomic.Uint64 // 499 client disconnects (not errors)
 	latency    [nEndpoints]histogram
 
-	// Coalescing telemetry: executed batches and the queries they carried;
-	// the mean batch size is the coalescing win the load harness gates on.
-	batches   atomic.Uint64
-	coalesced atomic.Uint64
-
 	swaps atomic.Uint64
 
 	// Result-cache telemetry. Hits and misses are /v1/topk lookups against
@@ -147,20 +142,6 @@ func (m *metrics) observe(ep endpoint, d time.Duration, status int) {
 	case status >= 400:
 		m.errors[ep].Add(1)
 	}
-}
-
-func (m *metrics) observeBatch(n int) {
-	m.batches.Add(1)
-	m.coalesced.Add(uint64(n))
-}
-
-// meanBatch is the mean coalesced batch size so far (0 when no batch ran).
-func (m *metrics) meanBatch() float64 {
-	b := m.batches.Load()
-	if b == 0 {
-		return 0
-	}
-	return float64(m.coalesced.Load()) / float64(b)
 }
 
 // cacheHitRate is hits / (hits + misses), 0 when the cache saw no lookups.
@@ -210,10 +191,6 @@ func (m *metrics) writeProm(w io.Writer, idx Index, cache *resultCache) {
 		fmt.Fprintf(w, "sdserver_request_duration_seconds_count{endpoint=%q} %d\n", ep, h.n.Load())
 	}
 
-	fmt.Fprintf(w, "# HELP sdserver_coalesced_batches_total Executed coalesced batches.\n# TYPE sdserver_coalesced_batches_total counter\n")
-	fmt.Fprintf(w, "sdserver_coalesced_batches_total %d\n", m.batches.Load())
-	fmt.Fprintf(w, "# HELP sdserver_coalesced_queries_total Queries executed through coalesced batches.\n# TYPE sdserver_coalesced_queries_total counter\n")
-	fmt.Fprintf(w, "sdserver_coalesced_queries_total %d\n", m.coalesced.Load())
 	fmt.Fprintf(w, "# HELP sdserver_index_swaps_total Completed zero-downtime index swaps.\n# TYPE sdserver_index_swaps_total counter\n")
 	fmt.Fprintf(w, "sdserver_index_swaps_total %d\n", m.swaps.Load())
 
@@ -356,9 +333,11 @@ type Statz struct {
 	ReplLSNs     []uint64   `json:"repl_lsns,omitempty"`
 	IndexIDSpace int        `json:"index_id_space"`
 
-	CoalescedBatches   uint64  `json:"coalesced_batches"`
-	CoalescedQueries   uint64  `json:"coalesced_queries"`
-	CoalescedBatchMean float64 `json:"coalesced_batch_mean"`
+	// Deprecated: always zero, since request coalescing was removed. The
+	// perfbench harness still reads these two fields; they go away with the
+	// next change to it, and /statz no longer serves them.
+	CoalescedBatches uint64 `json:"-"`
+	CoalescedQueries uint64 `json:"-"`
 
 	CacheEnabled bool    `json:"cache_enabled"`
 	CacheHits    uint64  `json:"cache_hits"`
@@ -395,23 +374,20 @@ type Statz struct {
 func (m *metrics) statz(idx Index, cache *resultCache) Statz {
 	up := time.Since(m.start).Seconds()
 	st := Statz{
-		UptimeSeconds:      up,
-		Endpoints:          make(map[string]EndpointStatz, nEndpoints),
-		CoalescedBatches:   m.batches.Load(),
-		CoalescedQueries:   m.coalesced.Load(),
-		CoalescedBatchMean: m.meanBatch(),
-		CacheEnabled:       cache != nil,
-		CacheHits:          m.cacheHits.Load(),
-		CacheMisses:        m.cacheMisses.Load(),
-		CacheRejects:       m.cacheRejects.Load(),
-		CacheHitRate:       m.cacheHitRate(),
-		IndexPoints:        idx.Len(),
-		IndexBytes:         idx.Bytes(),
-		Swaps:              m.swaps.Load(),
-		EngineFetched:      m.fetched.Load(),
-		EngineScored:       m.scored.Load(),
-		EnginePlanHits:     m.planHits.Load(),
-		StatsQueries:       m.statQueries.Load(),
+		UptimeSeconds:  up,
+		Endpoints:      make(map[string]EndpointStatz, nEndpoints),
+		CacheEnabled:   cache != nil,
+		CacheHits:      m.cacheHits.Load(),
+		CacheMisses:    m.cacheMisses.Load(),
+		CacheRejects:   m.cacheRejects.Load(),
+		CacheHitRate:   m.cacheHitRate(),
+		IndexPoints:    idx.Len(),
+		IndexBytes:     idx.Bytes(),
+		Swaps:          m.swaps.Load(),
+		EngineFetched:  m.fetched.Load(),
+		EngineScored:   m.scored.Load(),
+		EnginePlanHits: m.planHits.Load(),
+		StatsQueries:   m.statQueries.Load(),
 	}
 	var total uint64
 	for ep := endpoint(0); ep < nEndpoints; ep++ {

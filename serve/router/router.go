@@ -437,10 +437,20 @@ func (rt *Router) fetchOn(ctx context.Context, topo *topology, n *node, method, 
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
+	// A transport error counts against the node only while the caller still
+	// wants the answer. Once ctx is done the error is the caller's own
+	// cancellation (hedgedFetch cancelling the losing copy, a client hanging
+	// up), which says nothing about the node; an expired TryTimeout cancels
+	// only tctx, so a slow node is still blamed.
+	blame := func() {
+		if ctx.Err() == nil {
+			n.fail(int32(rt.cfg.FailAfter))
+		}
+	}
 	t0 := time.Now()
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		n.fail(int32(rt.cfg.FailAfter))
+		blame()
 		return nil, err
 	}
 	defer resp.Body.Close()
@@ -448,7 +458,7 @@ func (rt *Router) fetchOn(ctx context.Context, topo *topology, n *node, method, 
 	if err != nil {
 		// A mid-body reset lands here: the node (or the path to it) broke
 		// after committing to a response. Blame it like a connect failure.
-		n.fail(int32(rt.cfg.FailAfter))
+		blame()
 		return nil, err
 	}
 	n.lat.observe(time.Since(t0))

@@ -12,32 +12,34 @@
 //	GET    /statz            JSON diagnostic snapshot
 //	GET    /v1/repl/*        replication streams for followers (repl.go)
 //
-// Four serving mechanics distinguish it from a plain mux over the engine:
+// Each /v1/topk request makes exactly one engine call, TopKContext, against
+// the index it was decoded against. There is no request batching: the
+// engine keeps per-query state (isolines, frontier bounds, the stopping
+// threshold), so queries executed together share no work, and a batching
+// window would only add queue time. Three serving mechanics distinguish the
+// server from a plain mux over the engine:
 //
-//   - Request coalescing (coalesce.go): concurrently-arriving /v1/topk
-//     requests are gathered — bounded window, bounded batch — into single
-//     BatchTopK calls, riding the engine's pooled, pipelined batch path
-//     instead of paying one independent shard fan-out per request.
 //   - Hot-query result cache (cache.go, sketch.go; WithResultCache):
 //     answers are cached keyed on canonical query bytes and versioned by
 //     the snapshot epoch, which every insert/remove/compaction/swap
 //     publish bumps — so invalidation is free and a hit is byte-identical
 //     to what the engine would return now. A HeavyKeeper top-k frequency
 //     sketch gates admission so only the Zipf head of the traffic occupies
-//     the bounded cache, and the hit path allocates nothing and never
-//     enters the coalescer queue.
-//   - Backpressure: the admission queue and the per-endpoint concurrency
-//     limits are bounded; when they are full the server answers 429 with
-//     Retry-After immediately instead of letting goroutines and latency
-//     pile up. Per-request deadlines (WithRequestTimeout) cancel queries
-//     mid-aggregation through the engine's TopKContext plumbing.
+//     the bounded cache, and the hit path allocates nothing and takes no
+//     admission slot.
+//   - Backpressure: every endpoint family has a bounded, non-blocking
+//     concurrency limit (WithQueueDepth for /v1/topk engine calls,
+//     WithWriteConcurrency, WithBatchConcurrency); when one is full the
+//     server answers 429 with Retry-After immediately instead of letting
+//     goroutines and latency pile up. Per-request deadlines
+//     (WithRequestTimeout) cancel queries mid-aggregation through the
+//     engine's TopKContext plumbing.
 //   - Zero-downtime swap (swap.go): POST /v1/admin/swap loads a persisted
 //     index and publishes it with one atomic pointer store. In-flight
 //     queries keep the index they grabbed — the engine's snapshot
 //     discipline guarantees each request a consistent view — so no request
 //     ever observes a torn index. SIGTERM handling in cmd/sdserver drains
-//     gracefully: /healthz flips to 503, in-flight requests finish, then
-//     the coalescer shuts down.
+//     gracefully: /healthz flips to 503 and in-flight requests finish.
 package serve
 
 import (
@@ -46,7 +48,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -117,10 +118,7 @@ var _ compactioner = (*sdquery.ShardedIndex)(nil)
 type Option func(*config)
 
 type config struct {
-	window     time.Duration
-	maxBatch   int
 	queueDepth int
-	executors  int
 	reqTimeout time.Duration
 	writeLimit int
 	batchLimit int
@@ -133,31 +131,30 @@ type config struct {
 	promoteWALDir  string        // where a promoted follower opens its WAL (promote.go)
 }
 
-// WithCoalesceWindow sets how long the admission layer holds the first
-// query of a batch open for company (default 500µs). 0 still batches
-// whatever is instantaneously queued without waiting; negative disables
-// coalescing entirely — every /v1/topk runs its own TopKContext call.
-func WithCoalesceWindow(d time.Duration) Option { return func(c *config) { c.window = d } }
+// WithCoalesceWindow has no effect: /v1/topk calls the index directly.
+//
+// Deprecated: request coalescing was removed. The option is kept only
+// because the perfbench harness still passes it, and goes away with the
+// next change to that harness.
+func WithCoalesceWindow(time.Duration) Option { return func(*config) {} }
 
-// WithMaxBatch caps the queries per coalesced batch (default 64).
-func WithMaxBatch(n int) Option { return func(c *config) { c.maxBatch = n } }
+// WithMaxBatch has no effect: /v1/topk calls the index directly.
+//
+// Deprecated: request coalescing was removed. The option is kept only
+// because the perfbench harness still passes it, and goes away with the
+// next change to that harness.
+func WithMaxBatch(int) Option { return func(*config) {} }
 
-// WithQueueDepth sets the admission queue capacity for /v1/topk (default
-// 1024). A full queue is the backpressure signal: requests are answered
-// 429 + Retry-After immediately.
+// WithQueueDepth bounds how many /v1/topk engine calls may run at once
+// (default 1024). A request that finds every slot taken is answered 429 +
+// Retry-After immediately, without waiting. Result-cache hits take no slot.
 func WithQueueDepth(n int) Option { return func(c *config) { c.queueDepth = n } }
-
-// WithExecutors sets how many coalesced batches may execute concurrently —
-// the /v1/topk concurrency limit (default GOMAXPROCS).
-func WithExecutors(n int) Option { return func(c *config) { c.executors = n } }
 
 // WithRequestTimeout sets the per-request deadline enforced through the
 // engine's context plumbing (default 0 = none). A timed-out request
 // answers 503, and the engine work behind it is cancelled
-// mid-aggregation: directly on the uncoalesced paths, and on the
-// coalesced path once every request sharing the batch has expired (one
-// request's deadline must not kill its coalesced neighbors). stats=true
-// queries run uncancellable (TopKWithStats carries no context).
+// mid-aggregation. stats=true queries run uncancellable (TopKWithStats
+// carries no context).
 func WithRequestTimeout(d time.Duration) Option { return func(c *config) { c.reqTimeout = d } }
 
 // WithWriteConcurrency bounds concurrent /v1/insert + DELETE handlers
@@ -165,8 +162,8 @@ func WithRequestTimeout(d time.Duration) Option { return func(c *config) { c.req
 func WithWriteConcurrency(n int) Option { return func(c *config) { c.writeLimit = n } }
 
 // WithBatchConcurrency bounds concurrent /v1/batch handlers and stats=true
-// /v1/topk queries (default 4) — both run their own full fan-out outside
-// the coalescer, so a few in flight saturate the pool.
+// /v1/topk queries (default 4). Each runs a full fan-out of its own, so a
+// few in flight saturate the pool.
 func WithBatchConcurrency(n int) Option { return func(c *config) { c.batchLimit = n } }
 
 // WithResultCache enables the hot-query result cache (default off). Cached
@@ -198,9 +195,9 @@ func WithLoadOptions(opts ...sdquery.SDOption) Option {
 // indexBox wraps the Index interface value for atomic publication, caching
 // the dimensionality so request decoding never pays Roles()'s defensive
 // copy. Every request path that decodes a query against a box must also
-// execute against that same box (the coalescer carries it through pending)
-// — a swap between decode and execute must never run a query validated for
-// one index against another with different dimensions.
+// execute against that same box — a swap between decode and execute must
+// never run a query validated for one index against another with different
+// dimensions.
 type indexBox struct {
 	idx  Index
 	dims int
@@ -222,7 +219,6 @@ type Server struct {
 	box    atomic.Pointer[indexBox]
 	genCtr atomic.Uint64
 	mux    *http.ServeMux
-	co     *coalescer
 	met    *metrics
 	cache  *resultCache // nil unless WithResultCache(true)
 
@@ -241,6 +237,7 @@ type Server struct {
 	// generation already owns.
 	gen atomic.Uint64
 
+	topkSem  chan struct{}
 	writeSem chan struct{}
 	batchSem chan struct{}
 
@@ -261,24 +258,15 @@ type Server struct {
 // ListenAndServe/Serve; Handler can be mounted anywhere (httptest included).
 func New(idx Index, opts ...Option) *Server {
 	cfg := config{
-		window:     500 * time.Microsecond,
-		maxBatch:   64,
 		queueDepth: 1024,
-		executors:  runtime.GOMAXPROCS(0),
 		writeLimit: 64,
 		batchLimit: 4,
 	}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.maxBatch < 1 {
-		cfg.maxBatch = 1
-	}
 	if cfg.queueDepth < 1 {
 		cfg.queueDepth = 1
-	}
-	if cfg.executors < 1 {
-		cfg.executors = 1
 	}
 	if cfg.writeLimit < 1 {
 		cfg.writeLimit = 1
@@ -293,6 +281,7 @@ func New(idx Index, opts ...Option) *Server {
 		cfg:      cfg,
 		met:      &metrics{start: time.Now()},
 		serverID: newServerID(),
+		topkSem:  make(chan struct{}, cfg.queueDepth),
 		writeSem: make(chan struct{}, cfg.writeLimit),
 		batchSem: make(chan struct{}, cfg.batchLimit),
 	}
@@ -303,9 +292,6 @@ func New(idx Index, opts ...Option) *Server {
 		s.cache = newResultCache(s.cfg.cacheCap)
 	}
 	s.box.Store(s.newBox(idx))
-	if cfg.window >= 0 {
-		s.co = newCoalescer(s.met, cfg.window, cfg.maxBatch, cfg.queueDepth, cfg.executors)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/topk", s.handleTopK)
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
@@ -371,18 +357,15 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 // error-rate alert on a perfectly healthy server.
 const statusClientClosedRequest = 499
 
-// statusFor maps handler errors to HTTP statuses: backpressure → 429;
-// server-side deadline, drain, and a failed write-ahead log → 503; client
-// cancellation → 499; everything else (validation, role mismatches) → 400.
+// statusFor maps handler errors to HTTP statuses: server-side deadline and
+// a failed write-ahead log → 503; client cancellation → 499; everything
+// else (validation, role mismatches) → 400.
 // DeadlineExceeded is checked before Canceled: a request can carry both
 // (client gone AND deadline passed), and blaming the server's own timeout
 // is the conservative choice there.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, errQueueFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, errDraining),
-		errors.Is(err, sdquery.ErrWAL):
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, sdquery.ErrWAL):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled):
 		return statusClientClosedRequest
@@ -438,10 +421,10 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	if wantStats {
-		// Stats-enabled queries need per-query counters, so they bypass the
-		// coalescer (their counters feed the /metrics engine totals) — but
-		// not backpressure: they share /v1/batch's concurrency limit, since
-		// each runs its own uncoalesced, uncancellable fan-out.
+		// Stats-enabled queries need per-query counters (they feed the
+		// /metrics engine totals), so they run TopKWithStats instead. Each is
+		// an uncancellable fan-out, so they share /v1/batch's concurrency
+		// limit rather than the /v1/topk one.
 		select {
 		case s.batchSem <- struct{}{}:
 			defer func() { <-s.batchSem }()
@@ -465,7 +448,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Cached fast path: a hit writes the stored body straight out — no
-	// coalescer queue, no engine work, no marshaling, no allocation.
+	// admission slot, no engine work, no marshaling, no allocation.
 	var key []byte
 	var kb *[]byte
 	var epoch uint64
@@ -488,12 +471,15 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		defer func() { *kb = key; s.cache.putBuf(kb) }()
 	}
 
-	var res []sdquery.Result
-	if s.co != nil {
-		res, err = s.co.do(ctx, box, q)
-	} else {
-		res, err = box.idx.TopKContext(ctx, q)
+	select {
+	case s.topkSem <- struct{}{}:
+		defer func() { <-s.topkSem }()
+	default:
+		status = http.StatusTooManyRequests
+		writeError(w, status, fmt.Errorf("serve: topk concurrency limit reached"))
+		return
 	}
+	res, err := box.idx.TopKContext(ctx, q)
 	if err != nil {
 		status = statusFor(err)
 		writeError(w, status, err)
@@ -875,7 +861,7 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Shutdown drains gracefully: /healthz flips to 503 (so load balancers stop
 // routing), the HTTP server stops accepting and waits for in-flight
-// handlers up to ctx's deadline, then the coalescer stops. Once the last
+// handlers up to ctx's deadline, then Close runs. Once the last
 // write handler has returned, the serving index's write-ahead log (if any)
 // is force-fsynced so acknowledged mutations survive power loss even under
 // SyncInterval/SyncNever. The index itself is left open — it belongs to
@@ -898,11 +884,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// Close releases the server's goroutines (the coalescer, and on a follower
-// the replication pull loop) without waiting for in-flight HTTP requests;
-// use Shutdown for graceful drain. Safe after Shutdown; idempotent. A
-// follower also closes its index — NewFollower built it, so nobody else
-// holds it.
+// Close releases the server's goroutines (on a follower, the replication
+// pull loop) without waiting for in-flight HTTP requests; use Shutdown for
+// graceful drain. Safe after Shutdown; idempotent. A follower also closes
+// its index — NewFollower built it, so nobody else holds it.
 func (s *Server) Close() {
 	if f := s.repl.Load(); f != nil {
 		f.stop()
@@ -911,9 +896,6 @@ func (s *Server) Close() {
 		if c, ok := s.Index().(closer); ok {
 			c.Close()
 		}
-	}
-	if s.co != nil {
-		s.co.close()
 	}
 }
 

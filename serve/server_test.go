@@ -106,9 +106,9 @@ func post(t *testing.T, client *http.Client, url string, body []byte) (int, []by
 }
 
 // TestTopKGolden pins the acceptance contract: a /v1/topk response is
-// byte-identical to encoding the results of a direct ShardedIndex.TopK call
-// — through the coalescing path and through the direct (coalescing
-// disabled) path alike.
+// byte-identical to encoding the results of a direct ShardedIndex.TopK call,
+// with the default options and with the deprecated coalescing options,
+// which must change nothing.
 func TestTopKGolden(t *testing.T) {
 	idx := testIndex(t, 5_000, 1)
 	queries := testQueries(20, 2)
@@ -117,8 +117,8 @@ func TestTopKGolden(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"coalesced", nil},
-		{"direct", []Option{WithCoalesceWindow(-1)}},
+		{"direct", nil},
+		{"deprecated-options", []Option{WithCoalesceWindow(time.Millisecond), WithMaxBatch(8)}},
 		{"instant-window", []Option{WithCoalesceWindow(0)}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
@@ -186,7 +186,7 @@ func TestBatchGolden(t *testing.T) {
 
 // TestErrorShapes: malformed requests answer 400 with the JSON error
 // envelope — and a decodable-but-engine-invalid query (a role flip) fails
-// alone without poisoning the batch it was coalesced into.
+// alone, without disturbing well-formed queries running next to it.
 func TestErrorShapes(t *testing.T) {
 	idx := testIndex(t, 1_000, 5)
 	srv := New(idx)
@@ -224,8 +224,8 @@ func TestErrorShapes(t *testing.T) {
 		})
 	}
 
-	// The role-flip request above rode the coalescer; a well-formed query
-	// submitted concurrently with flips must still answer correctly.
+	// A well-formed query submitted concurrently with role flips must still
+	// answer correctly.
 	queries := testQueries(4, 6)
 	bodies := make([][]byte, len(queries))
 	goldens := make([][]byte, len(queries))
@@ -260,7 +260,7 @@ func TestErrorShapes(t *testing.T) {
 				return
 			}
 			if !bytes.Equal(body, goldens[qi]) {
-				t.Errorf("good query poisoned by coalesced bad neighbor\ngot  %s\nwant %s", body, goldens[qi])
+				t.Errorf("good query disturbed by a concurrent bad one\ngot  %s\nwant %s", body, goldens[qi])
 			}
 		}(i)
 	}
@@ -373,7 +373,6 @@ func TestObservabilityEndpoints(t *testing.T) {
 	for _, metric := range []string{
 		"sdserver_requests_total{endpoint=\"topk\"}",
 		"sdserver_request_duration_seconds_bucket",
-		"sdserver_coalesced_batches_total",
 		"sdserver_index_points",
 		"sdserver_index_segments",
 		"sdserver_index_compactions_total",
@@ -382,6 +381,9 @@ func TestObservabilityEndpoints(t *testing.T) {
 		if !bytes.Contains(prom, []byte(metric)) {
 			t.Fatalf("/metrics missing %q:\n%s", metric, prom)
 		}
+	}
+	if bytes.Contains(prom, []byte("sdserver_coalesced")) {
+		t.Fatalf("/metrics still exports request-coalescing series:\n%s", prom)
 	}
 
 	resp, err = ts.Client().Get(ts.URL + "/statz")
@@ -531,35 +533,30 @@ func TestSwapUnderLoad(t *testing.T) {
 	}
 }
 
-// slowIndex delegates to a real index but holds every batch call until
-// released — the deterministic way to fill the admission pipeline. The
-// context form honors cancellation while parked, like the real engine.
+// slowIndex delegates to a real index but holds every /v1/topk engine call
+// until released — the deterministic way to fill the admission limit. It
+// honors cancellation while parked, like the real engine.
 type slowIndex struct {
 	Index
 	gate chan struct{}
 }
 
-func (s *slowIndex) BatchTopK(queries []sdquery.Query) ([][]sdquery.Result, error) {
-	<-s.gate
-	return s.Index.BatchTopK(queries)
-}
-
-func (s *slowIndex) BatchTopKContext(ctx context.Context, queries []sdquery.Query) ([][]sdquery.Result, error) {
+func (s *slowIndex) TopKContext(ctx context.Context, q sdquery.Query) ([]sdquery.Result, error) {
 	select {
 	case <-s.gate:
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	return s.Index.BatchTopKContext(ctx, queries)
+	return s.Index.TopKContext(ctx, q)
 }
 
-// TestBackpressure: with one executor wedged, one queue slot, and one-query
-// batches, surplus requests must be rejected 429 with Retry-After instead
-// of piling up.
+// TestBackpressure: with the single /v1/topk slot held by a wedged engine
+// call, surplus requests must be rejected 429 with Retry-After instead of
+// piling up.
 func TestBackpressure(t *testing.T) {
 	idx := testIndex(t, 500, 30)
 	slow := &slowIndex{Index: idx, gate: make(chan struct{})}
-	srv := New(slow, WithQueueDepth(1), WithExecutors(1), WithMaxBatch(1), WithCoalesceWindow(0))
+	srv := New(slow, WithQueueDepth(1))
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -584,8 +581,8 @@ func TestBackpressure(t *testing.T) {
 			results <- resp.StatusCode
 		}()
 	}
-	// Give the requests time to pile into the (wedged) pipeline, then open
-	// the gate so the survivors complete.
+	// Give the requests time to hit the wedged slot, then open the gate so
+	// the admitted request completes.
 	time.Sleep(100 * time.Millisecond)
 	close(slow.gate)
 	wg.Wait()
@@ -618,7 +615,7 @@ func TestRequestTimeout(t *testing.T) {
 	slow := &slowIndex{Index: idx, gate: make(chan struct{})}
 	srv := New(slow, WithRequestTimeout(30*time.Millisecond))
 	defer func() {
-		close(slow.gate) // release the wedged executor before teardown
+		close(slow.gate) // release the wedged engine call before teardown
 		srv.Close()
 	}()
 	ts := httptest.NewServer(srv.Handler())
@@ -628,5 +625,54 @@ func TestRequestTimeout(t *testing.T) {
 	status, out := post(t, ts.Client(), ts.URL+"/v1/topk", body)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503: %s", status, out)
+	}
+}
+
+// TestCloseWithTopKInFlight: Close with /v1/topk requests parked inside the
+// engine must return without waiting for them, and each request must still
+// finish with its answer once the engine lets go.
+func TestCloseWithTopKInFlight(t *testing.T) {
+	idx := testIndex(t, 500, 42)
+	slow := &slowIndex{Index: idx, gate: make(chan struct{})}
+	srv := New(slow)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	q := testQueries(1, 43)[0]
+	direct, err := idx.TopK(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, want := queryBody(t, q), goldenBody(t, direct)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			status, out, err := postE(ts.Client(), ts.URL+"/v1/topk", body)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if status != http.StatusOK || !bytes.Equal(out, want) {
+				t.Errorf("in-flight request across Close: status %d: %s", status, out)
+			}
+		}()
+	}
+	time.Sleep(50 * time.Millisecond)
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server Close hung with requests in flight")
+	}
+	close(slow.gate)
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(5 * time.Second):
+		t.Fatal("in-flight requests never terminated after Close")
 	}
 }

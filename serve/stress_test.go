@@ -21,9 +21,9 @@ import (
 // and /v1/insert (plus deletes) over HTTP while a tiny memtable keeps the
 // background compactor continuously sealing and folding underneath, and one
 // admin swap replaces the whole index mid-flight. Run under -race in CI
-// this is the memory-model check for the serving layer: the coalescer's
-// hand-offs, the atomic index pointer, and the metrics counters all under
-// fire at once. In-flight answers can interleave with writes arbitrarily,
+// this is the memory-model check for the serving layer: the admission
+// limits, the atomic index pointer, and the metrics counters all under fire
+// at once. In-flight answers can interleave with writes arbitrarily,
 // so responses are shape-checked only; after every goroutine joins, the
 // server must answer exactly like a direct call on its current index.
 func TestServerConcurrentStress(t *testing.T) {
@@ -60,7 +60,6 @@ func TestServerConcurrentStress(t *testing.T) {
 
 	srv := New(idx,
 		WithQueueDepth(4096),
-		WithCoalesceWindow(time.Millisecond),
 		WithLoadOptions(sdquery.WithMemtableSize(16)))
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())

@@ -17,7 +17,7 @@ import (
 // queries keep flowing against the old index; the swap itself is the
 // pointer store. Requests that grabbed the old index before the store keep
 // using it to completion: every query path takes the index exactly once
-// (handlers and the coalescer grab it per request/batch, never per shard),
+// (each handler grabs it once per request, never per shard),
 // and within an index the engine's snapshot discipline pins a consistent
 // row set, so no request can observe half an old index and half a new one.
 //

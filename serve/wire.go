@@ -119,10 +119,9 @@ func parseRole(s string) (sdquery.Role, error) {
 // decodeQuery parses and validates one wire query against the serving
 // index's dimensionality. Validation here is deliberately complete — k,
 // lengths, role names, weight domain, at least one active dimension — so a
-// malformed request gets its own 400 and can never poison the coalesced
-// batch it would have ridden in (the engine re-validates, but by then the
-// query shares a BatchTopK call with innocent neighbors). This function is
-// the fuzz target FuzzDecodeQuery.
+// malformed request gets its own 400 before it reaches the engine or takes
+// an admission slot (the engine re-validates). This function is the fuzz
+// target FuzzDecodeQuery.
 func decodeQuery(data []byte, dims int) (sdquery.Query, bool, error) {
 	var wq wireQuery
 	if err := strictDecode(data, &wq); err != nil {
