@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/query"
 )
 
 func allocRoles() []Role {
@@ -63,38 +62,37 @@ func TestTopKAppendZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestShardQueryPathZeroAllocs pins the batch member's query path: a query
+// through a sequential view into a reused buffer — the unit BatchTopK runs
+// once per query on the pool — allocates nothing in steady state, also on
+// a multi-segment WithWorkers index whose own queries would fan out. (The
+// name predates the single-engine index; the path it guards is the same
+// per-task unit.)
 func TestShardQueryPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on otherwise alloc-free paths")
 	}
 	data := dataset.Generate(dataset.Uniform, 10_000, 4, 1)
-	idx, err := NewShardedIndex(data, allocRoles(), WithShards(4))
+	idx, err := NewSDIndex(data, allocRoles(), WithWorkers(4), WithMaxSegmentRows(2_500))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	spec := query.Spec{
-		Point:   []float64{0.3, 0.7, 0.1, 0.9},
-		K:       10,
-		Roles:   allocRoles(),
-		Weights: []float64{0.8, 0.5, 0.3, 0.9},
-	}
-	// The per-shard query path — one lock-free shard-engine top-k into a
-	// reused buffer, already in global-ID space — is the unit BatchTopK
-	// schedules Q×P times; it must stay allocation-free for the batch
-	// layer's pooling to matter.
-	for si, sh := range idx.shards {
-		var buf []query.Result
-		avg := measureAllocs(func() {
-			var err error
-			buf, _, err = sh.eng.TopKAppend(buf[:0], spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-		if avg != 0 {
-			t.Fatalf("shard %d query path allocates %.2f objects per query in steady state, want 0", si, avg)
+	view := idx.eng.View().Sequential()
+	q := allocQuery()
+	var buf []Result
+	avg := measureAllocs(func() {
+		var err error
+		buf, err = idx.appendVia(view, buf[:0], q, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+	})
+	if avg != 0 {
+		t.Fatalf("batch member query path allocates %.2f objects per query in steady state, want 0", avg)
+	}
+	if len(buf) != q.K {
+		t.Fatalf("got %d results, want %d", len(buf), q.K)
 	}
 }
 

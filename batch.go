@@ -10,12 +10,13 @@ import (
 )
 
 // workerPool is a reusable fixed set of goroutines executing submitted
-// closures. It backs every parallel execution path in the package: a
-// ShardedIndex keeps one for the lifetime of the index (per-query shard
-// fan-out and batch pipelining), and SDIndex.TopKBatch spins up a transient
-// one per batch. The pool bounds the helper goroutines only — every do
-// caller works through its own task list too (see do), so one call runs on
-// up to workers+1 goroutines and concurrent calls add their callers on top.
+// closures. It backs every parallel execution path in the package: an
+// SDIndex built WithWorkers owns one for its lifetime, carrying intra-query
+// segment fan-out, BatchTopK, and segment tree builds. The pool bounds the
+// helper goroutines only — every do caller works through its own task list
+// too (see do), so one call runs on up to workers+1 goroutines and
+// concurrent calls add their callers on top. A nil pool (an index without
+// WithWorkers) runs every do on the caller's goroutine.
 type workerPool struct {
 	tasks      chan func()
 	quit       chan struct{}
@@ -69,22 +70,18 @@ func newDispatch() *dispatch {
 	return d
 }
 
-// defaultParallelism is the pool and shard-count default.
-func defaultParallelism() int { return runtime.GOMAXPROCS(0) }
-
 // poolRunner adapts a workerPool to the engine's core.Runner interface, the
-// hook intra-query segment parallelism fans out through. Each SDIndex built
-// WithWorkers owns its pool outright, so the engine's per-segment tasks are
-// the only do callers on it and the no-nested-do rule below holds by
-// construction (a ShardedIndex's shard engines deliberately get no Runner —
-// their queries already run inside the shard fan-out's do).
+// hook segment fan-out and segment builds run through. The no-nested-do rule
+// below holds by construction: per-segment query tasks and tree builds never
+// call back into the pool, and BatchTopK's tasks query through a sequential
+// view.
 type poolRunner struct{ p *workerPool }
 
 func (r poolRunner) Do(n int, f func(i int)) { r.p.do(n, f) }
 
 func newWorkerPool(workers int) *workerPool {
 	if workers <= 0 {
-		workers = defaultParallelism()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	p := &workerPool{
 		tasks:   make(chan func()),
@@ -117,6 +114,12 @@ func newWorkerPool(workers int) *workerPool {
 // to sequential execution rather than blocking.
 func (p *workerPool) do(n int, f func(i int)) {
 	if n == 0 {
+		return
+	}
+	if p == nil {
+		for i := 0; i < n; i++ {
+			f(i)
+		}
 		return
 	}
 	d, _ := p.dispatches.Get().(*dispatch)
@@ -195,9 +198,11 @@ burst:
 	p.dispatches.Put(d)
 }
 
-// close releases the worker goroutines. Idempotent.
+// close releases the worker goroutines. Idempotent; a no-op on a nil pool.
 func (p *workerPool) close() {
-	p.once.Do(func() { close(p.quit) })
+	if p != nil {
+		p.once.Do(func() { close(p.quit) })
+	}
 }
 
 // batchErr tracks the first error of a parallel batch deterministically: the
@@ -242,10 +247,10 @@ type QueryStats struct {
 	// Subproblems consulted (2D pairs plus 1D leftovers; zero-weight ones
 	// are skipped), summed across every sealed segment.
 	Subproblems int
-	// Segments counts the sealed segments the query planned across (on a
-	// ShardedIndex, summed over shards). A freshly built or Compact-ed
-	// engine reports 1 per engine; sustained insert traffic grows it until
-	// the background compactor folds the stack back down.
+	// Segments counts the sealed segments the query planned across. A
+	// freshly built or Compact-ed index reports 1 (⌈n/cap⌉ under
+	// WithMaxSegmentRows); sustained insert traffic grows it until the
+	// background compactor folds the stack back down.
 	Segments int
 	// Fetched counts sorted-access emissions across all subproblems.
 	Fetched int
@@ -255,9 +260,7 @@ type QueryStats struct {
 	// subproblem — under either scheduling mode (WithScheduler).
 	Rounds int
 	// PlanCacheHits is 1 when the query's derived plan came from the
-	// engine's plan cache and 0 when it was derived afresh; on a
-	// ShardedIndex it is summed across shards (each shard keeps its own
-	// cache), so full fan-out hits report the shard count.
+	// index's plan cache and 0 when it was derived afresh.
 	PlanCacheHits int
 }
 
@@ -272,29 +275,26 @@ func (s *SDIndex) TopKWithStats(q Query) ([]Result, QueryStats, error) {
 	return convertResults(res), QueryStats(core.Stats(st)), nil
 }
 
-// TopKBatch answers many queries concurrently on the shared index using up
-// to parallelism pool goroutines plus the calling goroutine, which always
-// participates (≤ 0 selects GOMAXPROCS). Results are returned in query
-// order; the first error (lowest query index) aborts the batch.
-func (s *SDIndex) TopKBatch(queries []Query, parallelism int) ([][]Result, error) {
+// BatchTopK answers many queries, one pool task per query on the index's
+// WithWorkers pool (on the calling goroutine without one). Every query runs
+// against the same snapshot, acquired once for the batch, and aggregates its
+// segments sequentially. Results are returned in query order; the first
+// error (lowest query index) aborts the batch.
+func (s *SDIndex) BatchTopK(queries []Query) ([][]Result, error) {
+	return s.batchTopK(queries, nil)
+}
+
+// batchTopK is the shared BatchTopK/BatchTopKContext body; a non-nil done
+// channel cancels every in-flight member at its next scheduling step.
+func (s *SDIndex) batchTopK(queries []Query, done <-chan struct{}) ([][]Result, error) {
 	out := make([][]Result, len(queries))
-	if len(queries) == 0 {
-		return out, nil
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(queries) {
-		parallelism = len(queries)
-	}
-	pool := newWorkerPool(parallelism)
-	defer pool.close()
+	view := s.eng.View().Sequential()
 	var be batchErr
-	pool.do(len(queries), func(i int) {
+	s.pool.do(len(queries), func(i int) {
 		if be.shouldSkip(i) {
 			return
 		}
-		res, err := s.TopK(queries[i])
+		res, err := s.appendVia(view, nil, queries[i], done)
 		if err != nil {
 			be.record(i, fmt.Errorf("query %d: %w", i, err))
 			return

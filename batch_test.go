@@ -1,7 +1,6 @@
 package sdquery
 
 import (
-	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -12,10 +11,11 @@ import (
 func TestTopKBatchMatchesSequential(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 20_000, 4, 21)
 	roles := []Role{Repulsive, Attractive, Repulsive, Attractive}
-	idx, err := NewSDIndex(data, roles)
+	idx, err := NewSDIndex(data, roles, WithWorkers(4), WithMaxSegmentRows(5_000))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer idx.Close()
 	rng := rand.New(rand.NewSource(22))
 	queries := make([]Query, 40)
 	for i := range queries {
@@ -26,7 +26,7 @@ func TestTopKBatchMatchesSequential(t *testing.T) {
 			Weights: []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()},
 		}
 	}
-	batch, err := idx.TopKBatch(queries, 4)
+	batch, err := idx.BatchTopK(queries)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,34 +38,30 @@ func TestTopKBatchMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(batch[i]) != len(want) {
-			t.Fatalf("query %d: %d results, want %d", i, len(batch[i]), len(want))
-		}
-		for j := range want {
-			if math.Abs(batch[i][j].Score-want[j].Score) > 1e-12 {
-				t.Fatalf("query %d rank %d: %v vs %v", i, j, batch[i][j].Score, want[j].Score)
-			}
-		}
+		sameResults(t, "batch vs single", batch[i], want)
 	}
 }
 
 func TestTopKBatchPropagatesErrors(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 100, 2, 23)
 	roles := []Role{Repulsive, Attractive}
-	idx, err := NewSDIndex(data, roles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	queries := []Query{
-		{Point: []float64{0.5, 0.5}, K: 1, Roles: roles, Weights: []float64{1, 1}},
-		{Point: []float64{0.5}, K: 1, Roles: roles[:1], Weights: []float64{1}}, // bad dims
-	}
-	if _, err := idx.TopKBatch(queries, 2); err == nil {
-		t.Fatal("batch with an invalid query did not fail")
-	}
-	empty, err := idx.TopKBatch(nil, 3)
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("empty batch: %v, %v", empty, err)
+	for _, opts := range [][]SDOption{nil, {WithWorkers(2)}} {
+		idx, err := NewSDIndex(data, roles, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer idx.Close()
+		queries := []Query{
+			{Point: []float64{0.5, 0.5}, K: 1, Roles: roles, Weights: []float64{1, 1}},
+			{Point: []float64{0.5}, K: 1, Roles: roles[:1], Weights: []float64{1}}, // bad dims
+		}
+		if _, err := idx.BatchTopK(queries); err == nil {
+			t.Fatal("batch with an invalid query did not fail")
+		}
+		empty, err := idx.BatchTopK(nil)
+		if err != nil || len(empty) != 0 {
+			t.Fatalf("empty batch: %v, %v", empty, err)
+		}
 	}
 }
 

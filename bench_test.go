@@ -155,12 +155,10 @@ func BenchmarkQueryTop1(b *testing.B) {
 	}
 }
 
-// --- Batch benchmarks: the sharded execution layer ---------------------
+// --- Batch benchmarks --------------------------------------------------
 //
-// The acceptance comparison for the sharding PR: the same batch workload on
-// a serial SDIndex loop, the query-parallel SDIndex batch, a single-shard
-// ShardedIndex (pure overhead measurement), and a GOMAXPROCS-sharded one.
-// At GOMAXPROCS ≥ 4 the sharded pipeline must beat the single-shard runs.
+// The same batch workload as a serial TopK loop and as one BatchTopK call
+// on a GOMAXPROCS worker pool.
 
 func batchWorkload() ([][]float64, []Role, []Query) {
 	data := dataset.Generate(dataset.Uniform, 50_000, 6, 1)
@@ -186,21 +184,7 @@ func BenchmarkBatchSerialSDIndex(b *testing.B) {
 
 func BenchmarkBatchParallelSDIndex(b *testing.B) {
 	data, roles, queries := batchWorkload()
-	idx, err := NewSDIndex(data, roles)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := idx.TopKBatch(queries, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchmarkBatchSharded(b *testing.B, shards int) {
-	data, roles, queries := batchWorkload()
-	idx, err := NewShardedIndex(data, roles, WithShards(shards))
+	idx, err := NewSDIndex(data, roles, WithWorkers(0))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -216,9 +200,6 @@ func benchmarkBatchSharded(b *testing.B, shards int) {
 		}
 	}
 }
-
-func BenchmarkBatchSharded1(b *testing.B) { benchmarkBatchSharded(b, 1) }
-func BenchmarkBatchSharded(b *testing.B)  { benchmarkBatchSharded(b, 0) } // GOMAXPROCS shards
 
 func BenchmarkBuildSDIndex(b *testing.B) {
 	data := dataset.Generate(dataset.Uniform, 20_000, 6, 1)

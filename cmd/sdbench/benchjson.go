@@ -89,33 +89,24 @@ type workloadJSON struct {
 	// nothing (or invalidating everything) halves no latency number as
 	// loudly as it should.
 	CacheHitRate float64 `json:"cache_hit_rate,omitempty"`
-	// Work counters averaged over the query set. For sharded workloads the
-	// counters are summed across shards first, so scheduler and plan-cache
-	// wins stay visible end-to-end.
+	// Work counters averaged over the query set, so scheduler and
+	// plan-cache wins stay visible end-to-end.
 	FetchedMean     float64 `json:"fetched_mean,omitempty"`
 	ScoredMean      float64 `json:"scored_mean,omitempty"`
 	SubproblemsMean float64 `json:"subproblems_mean,omitempty"`
 	RoundsMean      float64 `json:"rounds_mean,omitempty"`
-	// PlanCacheHitRate is hits / (queries × engines consulted): 1.0 means
+	// PlanCacheHitRate is hits / queries: 1.0 means
 	// every query after the warm-up answered from a cached plan.
 	PlanCacheHitRate float64 `json:"plan_cache_hit_rate,omitempty"`
 }
 
 const benchJSONSchema = "sdbench/v9"
 
-// statsSource is the work-counter surface shared by SDIndex and
-// ShardedIndex.
-type statsSource interface {
-	TopKWithStats(sdquery.Query) ([]sdquery.Result, sdquery.QueryStats, error)
-}
-
 // collectStats runs the query set once and averages the counters.
-// cacheDenom is the hit-rate denominator per query (engines consulted: 1 for
-// a single engine, the shard count for a sharded index).
-func collectStats(src statsSource, queries []sdquery.Query, cacheDenom int) (w workloadJSON, err error) {
+func collectStats(idx *sdquery.SDIndex, queries []sdquery.Query) (w workloadJSON, err error) {
 	var total sdquery.QueryStats
 	for _, q := range queries {
-		_, st, err := src.TopKWithStats(q)
+		_, st, err := idx.TopKWithStats(q)
 		if err != nil {
 			return w, err
 		}
@@ -130,7 +121,7 @@ func collectStats(src statsSource, queries []sdquery.Query, cacheDenom int) (w w
 	w.ScoredMean = float64(total.Scored) / qn
 	w.SubproblemsMean = float64(total.Subproblems) / qn
 	w.RoundsMean = float64(total.Rounds) / qn
-	w.PlanCacheHitRate = float64(total.PlanCacheHits) / (qn * float64(cacheDenom))
+	w.PlanCacheHitRate = float64(total.PlanCacheHits) / qn
 	return w, nil
 }
 
@@ -231,8 +222,8 @@ func runMixedRW(data [][]float64, roles []sdquery.Role, queries []sdquery.Query)
 
 // runDurableMixedRW measures the write-ahead log's cost, and group commit's
 // recovery of it, under the given sync policy. Four writer goroutines churn
-// durable remove+insert pairs through a WAL-backed sharded index on the real
-// filesystem while the read path is timed exactly as in runMixedRW; the
+// durable remove+insert pairs through a WAL-backed WithWorkers index on the
+// real filesystem while the read path is timed exactly as in runMixedRW; the
 // report carries read p50/p99 (the WAL must be write-path-only — these track
 // the log-less mixed-rw figures), writer throughput as QPS, and the WAL
 // fsync count per acknowledged mutation. Under SyncAlways the concurrent
@@ -247,8 +238,8 @@ func runDurableMixedRW(data [][]float64, roles []sdquery.Role, queries []sdquery
 		return w, err
 	}
 	defer os.RemoveAll(dir)
-	idx, err := sdquery.NewShardedIndex(data, roles,
-		sdquery.WithShards(2),
+	idx, err := sdquery.NewSDIndex(data, roles,
+		sdquery.WithWorkers(0),
 		sdquery.WithWAL(dir+"/idx"),
 		sdquery.WithSyncPolicy(policy),
 		sdquery.WithSyncInterval(2*time.Millisecond))
@@ -405,7 +396,7 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 		if err != nil {
 			return err
 		}
-		stats, err := collectStats(idx, queries, 1)
+		stats, err := collectStats(idx, queries)
 		if err != nil {
 			return err
 		}
@@ -515,50 +506,43 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 		}
 	}
 
-	// Sharded batch pipeline: one op = the whole batch, at 1 shard (pure
-	// overhead measurement) and at NumCPU shards. The parallel workload
-	// elevates GOMAXPROCS to NumCPU for its whole lifetime (build, warm-up,
-	// stats, measurement): a harness invoked under GOMAXPROCS=1 previously
-	// built a 1-shard "gomaxprocs" index and recorded timings identical to
-	// the 1-shard run, silently measuring nothing.
-	for _, shards := range []int{1, 0} {
-		if err := func() error {
-			prev := runtime.GOMAXPROCS(0)
-			procs := prev
-			if shards == 0 && runtime.NumCPU() > procs {
-				procs = runtime.NumCPU()
-				runtime.GOMAXPROCS(procs)
-				defer runtime.GOMAXPROCS(prev) // restored on every path, errors included
-			}
-			sidx, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(shards))
-			if err != nil {
-				return err
-			}
-			defer sidx.Close()
-			if _, err := sidx.BatchTopK(queries); err != nil { // warm pools
-				return err
-			}
-			stats, err := collectStats(sidx, queries, sidx.Shards())
-			if err != nil {
-				return err
-			}
-			r = testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := sidx.BatchTopK(queries); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			name := fmt.Sprintf("batch/sharded-%d", sidx.Shards())
-			if shards == 0 {
-				name = "batch/sharded-gomaxprocs"
-			}
-			add(name, r, stats, procs)
-			return nil
-		}(); err != nil {
+	// Batch pipeline: one op = the whole batch, each query one task on a
+	// WithWorkers pool of NumCPU workers. The workload elevates GOMAXPROCS
+	// to NumCPU for its whole lifetime (build, warm-up, stats,
+	// measurement), so a harness invoked under GOMAXPROCS=1 still measures
+	// the pool it means to.
+	if err := func() error {
+		prev := runtime.GOMAXPROCS(0)
+		procs := prev
+		if runtime.NumCPU() > procs {
+			procs = runtime.NumCPU()
+			runtime.GOMAXPROCS(procs)
+			defer runtime.GOMAXPROCS(prev) // restored on every path, errors included
+		}
+		bidx, err := sdquery.NewSDIndex(data, roles, sdquery.WithWorkers(procs))
+		if err != nil {
 			return err
 		}
+		defer bidx.Close()
+		if _, err := bidx.BatchTopK(queries); err != nil { // warm pools
+			return err
+		}
+		stats, err := collectStats(bidx, queries)
+		if err != nil {
+			return err
+		}
+		r = testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bidx.BatchTopK(queries); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		add("batch/workers", r, stats, procs)
+		return nil
+	}(); err != nil {
+		return err
 	}
 
 	// Mixed read/write: p50/p99 TopK latency on the lock-free read path
@@ -577,7 +561,7 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 	report.Workloads = append(report.Workloads, mixed)
 
 	// Durable mixed read/write: the same read-under-churn shape with every
-	// mutation group-committed to a per-shard WAL on the real filesystem,
+	// mutation group-committed to the WAL on the real filesystem,
 	// once per sync policy. always vs interval vs off quantifies what each
 	// durability level costs the writers (QPS, fsyncs/op) — and the read
 	// percentiles document that it costs the read path nothing.
@@ -600,8 +584,8 @@ func runBenchJSON(path, baselinePath string, scale float64, queryCount int, seed
 	}
 
 	// Serve load: end-to-end HTTP latency/throughput through the serving
-	// layer, closed-loop clients over real TCP. Like the sharded batch
-	// workload it elevates GOMAXPROCS to NumCPU for its lifetime — the
+	// layer, closed-loop clients over real TCP. Like the batch workload
+	// it elevates GOMAXPROCS to NumCPU for its lifetime — the
 	// serving layer's whole point is concurrent traffic.
 	if err := func() error {
 		prev := runtime.GOMAXPROCS(0)

@@ -101,8 +101,8 @@ func runClusterFailover(scale float64, queryCount int, seed int64) (workloadJSON
 		}
 	}()
 	for pi := 0; pi < nParts; pi++ {
-		idx, err := sdquery.NewShardedIndexWithIDs(partRows[pi], partIDs[pi], roles,
-			sdquery.WithShards(2),
+		idx, err := sdquery.NewSDIndexWithIDs(partRows[pi], partIDs[pi], roles,
+			sdquery.WithWorkers(0),
 			sdquery.WithWAL(fmt.Sprintf("%s/p%d", dir, pi)),
 			sdquery.WithSyncPolicy(sdquery.SyncInterval),
 			sdquery.WithSyncInterval(50*time.Millisecond))

@@ -83,8 +83,8 @@ const fetchedRegressionTolerance = 0.05
 //   - a workload that was allocation-free in the baseline allocates;
 //   - a single-engine ("topk/…") workload's fetched_mean grew by more than
 //     fetchedRegressionTolerance — the deterministic, hardware-independent
-//     regression signal. Sharded workloads are exempt: their counters sum
-//     over a shard count that follows the machine's CPU count.
+//     regression signal. Other workloads (batch, mixed, serve, cluster)
+//     carry no fetched gate.
 //
 // The scales must match — ns/op across different dataset sizes is
 // meaningless — and so must the schema.

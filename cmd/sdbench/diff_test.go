@@ -31,7 +31,7 @@ func TestDiffAgainstBaseline(t *testing.T) {
 		Workloads: []workloadJSON{
 			{Name: "topk/sdindex-append", NsPerOp: 1_000_000, AllocsPerOp: 0, FetchedMean: 2000},
 			{Name: "topk/sdindex", NsPerOp: 1_000_000, AllocsPerOp: 4},
-			{Name: "batch/sharded-gomaxprocs", NsPerOp: 1_000_000, AllocsPerOp: 70, FetchedMean: 2000},
+			{Name: "batch/workers", NsPerOp: 1_000_000, AllocsPerOp: 70, FetchedMean: 2000},
 			{Name: "serve/hot", NsPerOp: 1_000_000, AllocsPerOp: 0, CacheHitRate: 0.8},
 			{Name: "cluster/failover", NsPerOp: 1_000_000, AllocsPerOp: -1, Availability: 0.999, WriteUnavailableMs: 800},
 		},
@@ -39,10 +39,10 @@ func TestDiffAgainstBaseline(t *testing.T) {
 	path := writeBaseline(t, base)
 
 	ok := benchJSON{Schema: benchJSONSchema, Scale: 1, Workloads: []workloadJSON{
-		{Name: "topk/sdindex-append", NsPerOp: 1_150_000, AllocsPerOp: 0, FetchedMean: 2040},       // +15% ns, +2% fetched: within tolerance
-		{Name: "topk/sdindex", NsPerOp: 900_000, AllocsPerOp: 6},                                   // allocs gated only at baseline 0
-		{Name: "batch/sharded-gomaxprocs", NsPerOp: 1_000_000, AllocsPerOp: 70, FetchedMean: 9000}, // sharded counters follow CPU count: exempt
-		{Name: "serve/hot", NsPerOp: 1_400_000, AllocsPerOp: 0, CacheHitRate: 0.5},                 // noisy latency gate, hit rate above half of baseline
+		{Name: "topk/sdindex-append", NsPerOp: 1_150_000, AllocsPerOp: 0, FetchedMean: 2040}, // +15% ns, +2% fetched: within tolerance
+		{Name: "topk/sdindex", NsPerOp: 900_000, AllocsPerOp: 6},                             // allocs gated only at baseline 0
+		{Name: "batch/workers", NsPerOp: 1_000_000, AllocsPerOp: 70, FetchedMean: 9000},      // only topk/ workloads carry the fetched gate
+		{Name: "serve/hot", NsPerOp: 1_400_000, AllocsPerOp: 0, CacheHitRate: 0.5},           // noisy latency gate, hit rate above half of baseline
 		{Name: "cluster/failover", NsPerOp: 1_400_000, AllocsPerOp: -1,
 			Availability: 0.996, WriteUnavailableMs: 4_500}, // both absolute gates: above the floor, under the ceiling
 		{Name: "topk/new-workload", NsPerOp: 1, AllocsPerOp: 99}, // extra workloads are fine

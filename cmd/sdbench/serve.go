@@ -61,7 +61,7 @@ func runServeLoad(scale float64, queryCount int, seed int64, totalOps int, hot b
 	data := dataset.Generate(dataset.Uniform, n, dims, seed)
 	specs, roles := bench.BatchSpecs(dims, attractive, k, queryCount, seed+1)
 
-	idx, err := sdquery.NewShardedIndex(data, roles)
+	idx, err := sdquery.NewSDIndex(data, roles, sdquery.WithWorkers(0))
 	if err != nil {
 		return w, err
 	}

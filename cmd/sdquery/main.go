@@ -34,8 +34,8 @@ func main() {
 		pointF  = flag.String("point", "", "query point, comma-separated (required unless only -save)")
 		weightF = flag.String("weights", "", "weights, comma-separated (default all 1)")
 		k       = flag.Int("k", 5, "answer size")
-		engine  = flag.String("engine", "sd", "sd | sharded | scan | ta | brs | pe")
-		saveF   = flag.String("save", "", "persist the built index (engine sd or sharded) to this file")
+		engine  = flag.String("engine", "sd", "sd | scan | ta | brs | pe")
+		saveF   = flag.String("save", "", "persist the built index (engine sd) to this file")
 		indexF  = flag.String("index", "", "serve a persisted index from this file instead of building from CSV")
 	)
 	flag.Parse()
@@ -96,8 +96,6 @@ func main() {
 		switch *engine {
 		case "sd":
 			eng, err = sdquery.NewSDIndex(data, roles)
-		case "sharded":
-			eng, err = sdquery.NewShardedIndex(data, roles)
 		case "scan":
 			eng, err = sdquery.NewScan(data)
 		case "ta":
@@ -157,14 +155,9 @@ func saveIndex(eng sdquery.Engine, path string) error {
 	if err != nil {
 		return err
 	}
-	var saveErr error
-	switch e := eng.(type) {
-	case *sdquery.SDIndex:
+	saveErr := fmt.Errorf("-save supports the sd engine only")
+	if e, ok := eng.(*sdquery.SDIndex); ok {
 		saveErr = e.Save(f)
-	case *sdquery.ShardedIndex:
-		saveErr = e.Save(f)
-	default:
-		saveErr = fmt.Errorf("-save supports the sd and sharded engines only")
 	}
 	if err := f.Close(); saveErr == nil {
 		saveErr = err
@@ -174,10 +167,7 @@ func saveIndex(eng sdquery.Engine, path string) error {
 
 // loadedRoles extracts the build-time roles a persisted index carries.
 func loadedRoles(eng sdquery.Engine) []sdquery.Role {
-	switch e := eng.(type) {
-	case *sdquery.SDIndex:
-		return e.Roles()
-	case *sdquery.ShardedIndex:
+	if e, ok := eng.(*sdquery.SDIndex); ok {
 		return e.Roles()
 	}
 	return nil

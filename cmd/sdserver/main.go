@@ -21,7 +21,7 @@
 //
 //	curl -s localhost:8080/v1/admin/swap -d '{"path":"tomorrow.sdx"}'
 //
-// Serve durably: every insert/delete is group-committed to a per-shard
+// Serve durably: every insert/delete is group-committed to a
 // write-ahead log before its 200, and a restart pointed at the same
 // directory recovers every acknowledged write (torn tails included):
 //
@@ -62,7 +62,6 @@ func main() {
 		header  = flag.Bool("header", false, "CSV has a header row")
 		rolesF  = flag.String("roles", "", "one letter per column: a/r/i (required unless -index)")
 		indexF  = flag.String("index", "", "serve a persisted index from this file instead of building from CSV")
-		shards  = flag.Int("shards", 0, "data shards (≤ 0 selects GOMAXPROCS)")
 		workers = flag.Int("workers", 0, "worker-pool size (≤ 0 selects GOMAXPROCS)")
 
 		walDir   = flag.String("wal-dir", "", "write-ahead-log directory: recover the durable index living there, or (with -data) create one and log every write")
@@ -105,7 +104,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		idx, err := buildIndex(*path, *header, *rolesF, *indexF, *shards, *workers,
+		idx, err := buildIndex(*path, *header, *rolesF, *indexF, *workers,
 			*walDir, sync, *syncIntF)
 		if err != nil {
 			fatal(err)
@@ -161,7 +160,7 @@ func parseSync(s string) (sdquery.SyncPolicy, error) {
 // buildIndex constructs the serving index from a CSV, a persisted file, or —
 // when -wal-dir is set — a durable directory: recovered if it already holds a
 // MANIFEST, created from the CSV otherwise.
-func buildIndex(path string, header bool, rolesF, indexF string, shards, workers int,
+func buildIndex(path string, header bool, rolesF, indexF string, workers int,
 	walDir string, sync sdquery.SyncPolicy, syncInt time.Duration) (serve.Index, error) {
 	if walDir != "" {
 		if indexF != "" {
@@ -169,13 +168,9 @@ func buildIndex(path string, header bool, rolesF, indexF string, shards, workers
 		}
 		if _, err := os.Stat(walDir + "/MANIFEST"); err == nil {
 			fmt.Fprintf(os.Stderr, "sdserver: recovering durable index from %s\n", walDir)
-			eng, err := sdquery.Open(walDir,
+			return sdquery.OpenSDIndex(walDir,
 				sdquery.WithWorkers(workers),
 				sdquery.WithSyncPolicy(sync), sdquery.WithSyncInterval(syncInt))
-			if err != nil {
-				return nil, err
-			}
-			return serve.AsIndex(eng)
 		}
 	}
 	if indexF != "" {
@@ -184,11 +179,7 @@ func buildIndex(path string, header bool, rolesF, indexF string, shards, workers
 			return nil, err
 		}
 		defer f.Close()
-		eng, err := sdquery.Load(f, sdquery.WithWorkers(workers))
-		if err != nil {
-			return nil, err
-		}
-		return serve.AsIndex(eng)
+		return sdquery.LoadSDIndex(f, sdquery.WithWorkers(workers))
 	}
 	if path == "" || rolesF == "" {
 		flag.Usage()
@@ -219,14 +210,12 @@ func buildIndex(path string, header bool, rolesF, indexF string, shards, workers
 			return nil, fmt.Errorf("role %q: use a, r, or i", c)
 		}
 	}
-	sdOpts := []sdquery.SDOption{
-		sdquery.WithShards(shards), sdquery.WithWorkers(workers),
-	}
+	sdOpts := []sdquery.SDOption{sdquery.WithWorkers(workers)}
 	if walDir != "" {
 		sdOpts = append(sdOpts, sdquery.WithWAL(walDir),
 			sdquery.WithSyncPolicy(sync), sdquery.WithSyncInterval(syncInt))
 	}
-	return sdquery.NewShardedIndex(data, roles, sdOpts...)
+	return sdquery.NewSDIndex(data, roles, sdOpts...)
 }
 
 func fatal(err error) {

@@ -242,16 +242,17 @@ func TestQueriesConcurrentWithCompaction(t *testing.T) {
 	}
 }
 
-// TestShardedIndexConcurrentStress hammers one ShardedIndex with concurrent
-// TopK, BatchTopK, Insert, and Remove from many goroutines — the workload
-// the per-shard locking exists for. In-flight answers can interleave with
-// updates arbitrarily, so they are only sanity-checked; once every goroutine
-// has joined, the index must agree with the scan oracle over the mirrored
-// live set exactly. Run under -race this doubles as the memory-model check.
+// TestShardedIndexConcurrentStress hammers one pooled, multi-segment SDIndex
+// with concurrent TopK, BatchTopK, Insert, and Remove from many goroutines,
+// while compaction rebuilds segments through the same pool. In-flight
+// answers can interleave with updates arbitrarily, so they are only
+// sanity-checked; once every goroutine has joined, the index must agree with
+// the scan oracle over the mirrored live set exactly. Run under -race this
+// doubles as the memory-model check.
 func TestShardedIndexConcurrentStress(t *testing.T) {
 	roles := []Role{Repulsive, Attractive, Repulsive}
 	data := dataset.Generate(dataset.Uniform, 2_000, len(roles), 33)
-	idx, err := NewShardedIndex(data, roles, WithShards(4), WithWorkers(4))
+	idx, err := NewSDIndex(data, roles, WithWorkers(4), WithMaxSegmentRows(500), WithMemtableSize(32))
 	if err != nil {
 		t.Fatal(err)
 	}

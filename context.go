@@ -45,35 +45,13 @@ func (s *SDIndex) TopKAppendContext(ctx context.Context, dst []Result, q Query) 
 	return res, ctxErr(ctx, err)
 }
 
-// TopKContext answers the query across every shard, stopping early with
-// ctx.Err() if the context is cancelled or its deadline passes: each
-// shard's aggregation polls the same Done channel, so the whole fan-out
-// unwinds within one scheduling step per shard.
-func (s *ShardedIndex) TopKContext(ctx context.Context, q Query) ([]Result, error) {
-	return s.TopKAppendContext(ctx, nil, q)
-}
-
-// TopKAppendContext is TopKAppend honoring the context's cancellation and
-// deadline across the shard fan-out. TopKAppend delegates here with
-// context.Background (whose nil Done channel keeps the poll free), so this
-// is the one sharded single-query fan-out body.
-func (s *ShardedIndex) TopKAppendContext(ctx context.Context, dst []Result, q Query) ([]Result, error) {
-	spec := q.spec()
-	p := len(s.shards)
-	c := s.getCtx(p)
-	defer s.putCtx(c)
-	if err := s.fanOutQuery(spec, c, nil, nil, ctx.Done()); err != nil {
-		return dst, ctxErr(ctx, err)
-	}
-	return mergeShards(dst, c.bufs[:p], c.pos, q.K), nil
-}
-
 // BatchTopKContext is BatchTopK honoring the context's cancellation and
-// deadline: every in-flight (query × shard) task polls the same Done
-// channel, so a cancelled batch unwinds within one scheduling step per
-// task. The serving layer's /v1/batch endpoint runs through this, so a
-// batch whose request has timed out stops consuming the engine.
-func (s *ShardedIndex) BatchTopKContext(ctx context.Context, queries []Query) ([][]Result, error) {
+// deadline: every in-flight member polls the same Done channel, so a
+// cancelled batch unwinds within one scheduling step per member and the
+// members not yet started are skipped. The serving layer's /v1/batch
+// endpoint runs through this, so a batch whose request has timed out stops
+// consuming the engine.
+func (s *SDIndex) BatchTopKContext(ctx context.Context, queries []Query) ([][]Result, error) {
 	out, err := s.batchTopK(queries, ctx.Done())
 	if err != nil {
 		return nil, ctxErr(ctx, err)
@@ -86,25 +64,3 @@ func (s *ShardedIndex) BatchTopKContext(ctx context.Context, queries []Query) ([
 // completed since construction. Monotonic; the serving layer exports it on
 // /metrics.
 func (s *SDIndex) Compactions() uint64 { return s.eng.Compactions() }
-
-// Segments reports the sealed-segment count and memtable rows summed over
-// every shard's current snapshot — the observable shape of the storage
-// stack that background compaction continuously reorganizes (one atomic
-// snapshot load per shard; no locks).
-func (s *ShardedIndex) Segments() (segments, memRows int) {
-	for _, sh := range s.shards {
-		segs, mem := sh.eng.Segments()
-		segments += segs
-		memRows += mem
-	}
-	return segments, memRows
-}
-
-// Compactions reports completed compaction steps summed over every shard.
-func (s *ShardedIndex) Compactions() uint64 {
-	var total uint64
-	for _, sh := range s.shards {
-		total += sh.eng.Compactions()
-	}
-	return total
-}

@@ -9,7 +9,8 @@ import (
 	"repro/internal/dataset"
 )
 
-// TestTopKContextCancel pins the cancellation contract on both index kinds:
+// TestTopKContextCancel pins the cancellation contract on a sequential and
+// a pooled, multi-segment index:
 // a context cancelled before the call returns promptly with ctx.Err() and no
 // results; an uncancelled context answers byte-identically to the plain
 // path; and a mid-flight deadline yields either the full correct answer
@@ -24,11 +25,11 @@ func TestTopKContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewShardedIndex(data, roles, WithShards(4))
+	pooled, err := NewSDIndex(data, roles, WithWorkers(4), WithMaxSegmentRows(5_000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sharded.Close()
+	defer pooled.Close()
 
 	want, err := sd.TopK(q)
 	if err != nil {
@@ -41,7 +42,7 @@ func TestTopKContextCancel(t *testing.T) {
 	}
 	engines := []ctxEngine{
 		{"sdindex", func(ctx context.Context) ([]Result, error) { return sd.TopKContext(ctx, q) }},
-		{"sharded", func(ctx context.Context) ([]Result, error) { return sharded.TopKContext(ctx, q) }},
+		{"pooled", func(ctx context.Context) ([]Result, error) { return pooled.TopKContext(ctx, q) }},
 	}
 	for _, e := range engines {
 		// Pre-cancelled: prompt ctx.Err(), no results.
@@ -76,6 +77,73 @@ func TestTopKContextCancel(t *testing.T) {
 		case errors.Is(err, context.DeadlineExceeded):
 		default:
 			t.Fatalf("%s: deadline run: unexpected error %v", e.name, err)
+		}
+	}
+}
+
+// TestBatchTopKContextCancel pins BatchTopKContext's cancellation contract
+// with and without a worker pool: a pre-cancelled context returns
+// context.Canceled and no results, a live context answers every member
+// exactly like TopK, and a mid-flight deadline yields either the complete
+// correct batch or context.DeadlineExceeded.
+func TestBatchTopKContextCancel(t *testing.T) {
+	data := dataset.Generate(dataset.Uniform, 20_000, 4, 3)
+	roles := allocRoles()
+	queries := make([]Query, 16)
+	for i := range queries {
+		queries[i] = allocQuery()
+		queries[i].K = 1 + i
+	}
+	for _, tc := range []struct {
+		name string
+		opts []SDOption
+	}{
+		{"sequential", nil},
+		{"pooled", []SDOption{WithWorkers(4), WithMaxSegmentRows(5_000)}},
+	} {
+		idx, err := NewSDIndex(data, roles, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer idx.Close()
+		want := make([][]Result, len(queries))
+		for i, q := range queries {
+			if want[i], err = idx.TopK(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(label string, got [][]Result) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s/%s: %d answers, want %d", tc.name, label, len(got), len(want))
+			}
+			for i := range want {
+				sameResults(t, tc.name+"/"+label, got[i], want[i])
+			}
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		got, err := idx.BatchTopKContext(ctx, queries)
+		if !errors.Is(err, context.Canceled) || got != nil {
+			t.Fatalf("%s: pre-cancelled batch: %d answers, err %v; want none and context.Canceled", tc.name, len(got), err)
+		}
+
+		got, err = idx.BatchTopKContext(context.Background(), queries)
+		if err != nil {
+			t.Fatalf("%s: live context: %v", tc.name, err)
+		}
+		check("live-context", got)
+
+		tctx, tcancel := context.WithTimeout(context.Background(), 50*time.Microsecond)
+		got, err = idx.BatchTopKContext(tctx, queries)
+		tcancel()
+		switch {
+		case err == nil:
+			check("beat-the-clock", got)
+		case errors.Is(err, context.DeadlineExceeded):
+		default:
+			t.Fatalf("%s: deadline run: unexpected error %v", tc.name, err)
 		}
 	}
 }

@@ -17,17 +17,16 @@
 //   - SDIndex — the general engine (§4 + §5): per-pair 2D projection trees
 //     with multi-angle bounds, 1D bidirectional lists for unpaired
 //     dimensions, and Threshold-Algorithm aggregation. k and all weights are
-//     chosen at query time.
+//     chosen at query time. WithWorkers gives it one reusable worker pool
+//     that carries all of its parallelism: a query's sealed segments fan
+//     out across it, BatchTopK runs one query per pool task, and segment
+//     builds (bulk build, compaction, Load) spread their tree builds over
+//     it. Because the SD-score of a point depends only on that point, one
+//     index answers any top-k query exactly; there is no partitioning
+//     inside a node.
 //   - Top1Index — the specialized 2D structure (§3) for workloads where k
 //     and the weights are fixed up front: O(log n) queries over precomputed
 //     envelope regions.
-//   - ShardedIndex — the parallel execution layer: the dataset is
-//     partitioned across P shards (WithShards, default GOMAXPROCS), each
-//     backed by an independent SD-Index engine indexing its rows under
-//     their global dataset IDs; TopK fans out to per-shard goroutines on a
-//     reusable worker pool (WithWorkers) and a bounded merge recovers the
-//     exact global answer, byte-identical to the single engine's. BatchTopK
-//     pipelines whole query batches across the (query × shard) grid.
 //
 // # Storage: segments, snapshots, compaction
 //
@@ -44,17 +43,17 @@
 // WithMemtableSize rows, disabled by WithCompaction(false) — seals the
 // memtable into a segment, keeps the stack logarithmic (each segment at
 // least twice its successor), and rewrites dead-heavy segments; Compact
-// forces a synchronous full fold. SDIndex.Snapshot / ShardedIndex.Snapshot
-// pin a point-in-time view that keeps answering byte-identically to the
+// forces a synchronous full fold. SDIndex.Snapshot pins a point-in-time
+// view that keeps answering byte-identically to the
 // scan oracle at its acquisition instant while churn proceeds underneath.
 //
 // # Persistence
 //
 // Save serializes an index's snapshot to a versioned binary format — the
 // structural configuration plus every segment's rows, IDs, and tombstones;
-// index structures rebuild deterministically at load, so LoadSDIndex /
-// LoadShardedIndex / Load reconstruct an index that answers byte-
-// identically and reports the same Bytes, with no data re-ingestion:
+// index structures rebuild deterministically at load, so LoadSDIndex / Load
+// reconstruct an index that answers byte-identically and reports the same
+// Bytes, with no data re-ingestion:
 //
 //	f, _ := os.Create("points.sdx")
 //	err := idx.Save(f) // lock-free, snapshot-consistent
@@ -64,17 +63,19 @@
 //	idx2, err := sdquery.LoadSDIndex(f) // serves immediately; updates resume
 //
 // cmd/sdquery exposes the same flow: -save persists an index built from
-// CSV, -index serves a persisted one without any rebuild.
+// CSV, -index serves a persisted one without any rebuild. Sharded files
+// written by older releases still load when they hold one shard; files of
+// more shards are refused with an error naming the shard count.
 //
 // # Durability
 //
 // Save captures a moment; WithWAL makes every mutation crash-safe. An index
 // built with WithWAL(dir) appends each Insert/Remove as a checksummed,
-// LSN-sequenced record to a per-shard write-ahead log before publishing it,
-// and Open(dir) (or OpenSDIndex / OpenShardedIndex) reconstructs the index
-// after a crash — checkpoint first, then the live log tail:
+// LSN-sequenced record to a write-ahead log before publishing it, and
+// Open(dir) (or OpenSDIndex) reconstructs the index after a crash —
+// checkpoint first, then the live log tail:
 //
-//	idx, err := sdquery.NewShardedIndex(data, roles, sdquery.WithWAL("/var/lib/sd"))
+//	idx, err := sdquery.NewSDIndex(data, roles, sdquery.WithWAL("/var/lib/sd"))
 //	id, err := idx.Insert(row) // returns only after the record is committed
 //	...                        // power fails here
 //	idx2, err := sdquery.Open("/var/lib/sd") // every acknowledged write intact
@@ -131,11 +132,11 @@
 // allocates nothing. /statz and /metrics expose the hit rate. The JSON
 // wire format is documented in serve/wire.go, next to this binary format.
 //
-// Scan, SDIndex, TA, and ShardedIndex break score ties by ascending dataset
-// ID, so their answers are byte-identical to each other; BRS and PE resolve
-// exact ties at the k-th rank arbitrarily but return the same score
-// sequence. The internal/enginetest differential harness (and a native fuzz
-// target) enforces both contracts against an exhaustive-scan oracle.
+// Scan, SDIndex, and TA break score ties by ascending dataset ID, so their
+// answers are byte-identical to each other; BRS and PE resolve exact ties
+// at the k-th rank arbitrarily but return the same score sequence. The
+// internal/enginetest differential harness (and a native fuzz target)
+// enforces both contracts against an exhaustive-scan oracle.
 //
 // The baselines the paper evaluates against are included, sharing the same
 // Query/Result API, so applications can benchmark on their own data:
@@ -166,7 +167,7 @@
 // ID space. Failures are handled per try: capped jittered backoff, p99-
 // triggered hedged reads against replicas, consecutive-failure ejection
 // with half-open recovery, and failover from a dead leader to the
-// freshest replica — gated by per-shard LSN write watermarks, so a stale
+// freshest replica — gated by LSN write watermarks, so a stale
 // follower never answers a read that misses an acknowledged write. When
 // a whole partition is unreachable reads fail fast with 503; the
 // ?allow_partial=1 flag opts into the survivors' merged answer, marked
@@ -221,7 +222,7 @@
 // All per-query state — weights, bounds, descent rates, emission buffers,
 // the seen bitset, stream cursors and heaps, the result collector, the
 // plan scratch — lives in per-engine sync.Pool contexts. SDIndex.TopKAppend
-// and ShardedIndex.TopKAppend append results into a caller-reused buffer;
+// appends results into a caller-reused buffer;
 // on a compacted index (one sealed segment, empty memtable — the steady
 // state background compaction converges to) they perform zero heap
 // allocations per query, which alloc_test.go asserts with

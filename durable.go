@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/faultfs"
@@ -16,25 +15,29 @@ import (
 // own:
 //
 //	dir/MANIFEST        JSON: format version, index kind, shard count
-//	dir/shard-000/      one WAL directory per engine (CHECKPOINT + *.wal)
-//	dir/shard-001/      ... (sharded indexes only)
+//	dir/shard-000/      the engine's WAL directory (CHECKPOINT + *.wal)
 //
-// Each shard directory is a self-contained core WAL: a full-snapshot
+// The engine directory is a self-contained core WAL: a full-snapshot
 // checkpoint plus the log tail of mutations since. The Open functions
-// recover the whole index from the directory — checkpoints load, tails
-// replay idempotently, torn tails truncate — so a crashed process restarts
-// with exactly the acknowledged mutations (per the sync policy it ran
-// with) and nothing else. The MANIFEST is written once at creation and
+// recover the index from the directory — the checkpoint loads, the tail
+// replays idempotently, a torn tail truncates — so a crashed process
+// restarts with exactly the acknowledged mutations (per the sync policy it
+// ran with) and nothing else. The MANIFEST is written once at creation and
 // never rewritten; it is the commit point of index creation, so Open on a
 // directory whose creation crashed before the manifest landed fails
 // cleanly instead of recovering half an index.
+//
+// Older releases also created "sharded" directories with one shard-NNN
+// subdirectory per shard. A one-shard directory has exactly the layout
+// above and opens like any other; a directory of more shards is refused
+// with an error naming the shard count.
 
 const (
 	manifestName   = "MANIFEST"
 	manifestFormat = "sdquery-wal/v1"
 
 	manifestKindSDIndex = "sdindex"
-	manifestKindSharded = "sharded"
+	manifestKindSharded = "sharded" // written by older releases; read only
 )
 
 type manifest struct {
@@ -43,16 +46,15 @@ type manifest struct {
 	Shards int    `json:"shards"`
 }
 
-// shardWALDir names shard si's WAL directory under the index root.
-func shardWALDir(root string, si int) string {
-	return filepath.Join(root, fmt.Sprintf("shard-%03d", si))
-}
+// engineWALDir names the engine's WAL directory under the index root (the
+// name dates from the multi-shard layout and keeps old directories valid).
+func engineWALDir(root string) string { return filepath.Join(root, "shard-000") }
 
 // writeManifest creates the index directory and atomically installs its
 // MANIFEST (tmp + fsync + rename + dir sync). It refuses a directory that
 // already holds one: durable indexes are recovered with Open, never
 // re-created over.
-func writeManifest(cfg *sdConfig, kind string, shards int) error {
+func writeManifest(cfg *sdConfig) error {
 	ffs := cfg.walFS
 	if ffs == nil {
 		ffs = faultfs.OS{}
@@ -64,7 +66,7 @@ func writeManifest(cfg *sdConfig, kind string, shards int) error {
 	if _, err := ffs.Stat(path); err == nil {
 		return fmt.Errorf("sdquery: %s already holds a durable index; recover it with Open instead of creating over it", cfg.walDir)
 	}
-	data, err := json.Marshal(manifest{Format: manifestFormat, Kind: kind, Shards: shards})
+	data, err := json.Marshal(manifest{Format: manifestFormat, Kind: manifestKindSDIndex, Shards: 1})
 	if err != nil {
 		return err
 	}
@@ -93,139 +95,66 @@ func writeManifest(cfg *sdConfig, kind string, shards int) error {
 	return nil
 }
 
-// readManifest loads and validates dir's MANIFEST.
-func readManifest(ffs faultfs.FS, dir string) (manifest, error) {
+// checkManifest loads and validates dir's MANIFEST.
+func checkManifest(ffs faultfs.FS, dir string) error {
 	f, err := ffs.OpenFile(filepath.Join(dir, manifestName), os.O_RDONLY, 0)
 	if err != nil {
-		return manifest{}, fmt.Errorf("sdquery: open %s: %w", dir, err)
+		return fmt.Errorf("sdquery: open %s: %w", dir, err)
 	}
 	data, err := io.ReadAll(f)
 	f.Close()
 	if err != nil {
-		return manifest{}, fmt.Errorf("sdquery: open %s: manifest: %w", dir, err)
+		return fmt.Errorf("sdquery: open %s: manifest: %w", dir, err)
 	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return manifest{}, fmt.Errorf("sdquery: open %s: manifest: %w", dir, err)
+		return fmt.Errorf("sdquery: open %s: manifest: %w", dir, err)
 	}
 	if m.Format != manifestFormat {
-		return manifest{}, fmt.Errorf("sdquery: open %s: unsupported manifest format %q (have %s)", dir, m.Format, manifestFormat)
-	}
-	if m.Shards < 1 || m.Shards > 1<<20 {
-		return manifest{}, fmt.Errorf("sdquery: open %s: implausible shard count %d", dir, m.Shards)
+		return fmt.Errorf("sdquery: open %s: unsupported manifest format %q (have %s)", dir, m.Format, manifestFormat)
 	}
 	switch m.Kind {
 	case manifestKindSDIndex, manifestKindSharded:
 	default:
-		return manifest{}, fmt.Errorf("sdquery: open %s: unknown index kind %q", dir, m.Kind)
+		return fmt.Errorf("sdquery: open %s: unknown index kind %q", dir, m.Kind)
 	}
-	return m, nil
-}
-
-// openPrep resolves the option list for the Open functions and reads the
-// manifest. WithWAL on the option list is ignored — dir is authoritative.
-func openPrep(dir string, opts []SDOption) (manifest, core.RuntimeOptions, sdConfig, error) {
-	opt, cfg := runtimeOptions(opts)
-	cfg.walDir = dir
-	if cfg.walFS == nil {
-		cfg.walFS = faultfs.OS{}
+	if m.Shards < 1 {
+		return fmt.Errorf("sdquery: open %s: implausible shard count %d", dir, m.Shards)
 	}
-	m, err := readManifest(cfg.walFS, dir)
-	if err != nil {
-		return manifest{}, core.RuntimeOptions{}, sdConfig{}, err
+	if m.Shards > 1 {
+		return fmt.Errorf("sdquery: open %s: directory holds a %d-shard index written by an older release; only 1-shard directories still open", dir, m.Shards)
 	}
-	return m, opt, cfg, nil
+	return nil
 }
 
 // OpenSDIndex recovers a durable SDIndex from its WithWAL directory:
 // checkpoint load, idempotent log replay, torn-tail truncation. Structural
 // options are in the checkpoint; the option list supplies runtime knobs
-// (scheduler, plan cache, memtable size, compaction) and the WAL knobs to
-// run with from here on (WithSyncPolicy, WithSyncInterval, WithWALFS).
+// (workers, scheduler, plan cache, memtable size, compaction) and the WAL
+// knobs to run with from here on (WithSyncPolicy, WithSyncInterval,
+// WithWALFS). WithWAL on the option list is ignored — dir is authoritative.
 func OpenSDIndex(dir string, opts ...SDOption) (*SDIndex, error) {
-	m, opt, cfg, err := openPrep(dir, opts)
-	if err != nil {
+	opt, cfg := runtimeOptions(opts)
+	cfg.walDir = dir
+	if cfg.walFS == nil {
+		cfg.walFS = faultfs.OS{}
+	}
+	if err := checkManifest(cfg.walFS, dir); err != nil {
 		return nil, err
 	}
-	if m.Kind != manifestKindSDIndex {
-		return nil, fmt.Errorf("sdquery: open %s: directory holds a sharded index; use OpenShardedIndex or Open", dir)
-	}
-	var pool *workerPool
-	if cfg.workersSet {
-		pool = newWorkerPool(cfg.workers)
-		opt.Pool = poolRunner{pool}
-	}
-	eng, err := core.Open(*cfg.walConfig(shardWALDir(dir, 0)), opt)
-	if err != nil {
-		if pool != nil {
-			pool.close()
-		}
-		return nil, err
-	}
-	return &SDIndex{eng: eng, roles: eng.Roles(), pool: pool}, nil
+	return cfg.open(func(pool core.Runner) (*core.Engine, error) {
+		opt.Pool = pool
+		return core.Open(*cfg.walConfig(engineWALDir(dir)), opt)
+	})
 }
 
-// OpenShardedIndex recovers a durable ShardedIndex from its WithWAL
-// directory. Every shard recovers independently (concurrently) from its
-// own log; the global-ID routing table is rebuilt from the shard engines'
-// recovered contents, so no separate routing persistence can disagree
-// with the data. WithShards is ignored — the partition is fixed at
-// creation; WithWorkers and the runtime knobs apply.
-func OpenShardedIndex(dir string, opts ...SDOption) (*ShardedIndex, error) {
-	m, opt, cfg, err := openPrep(dir, opts)
-	if err != nil {
-		return nil, err
-	}
-	if m.Kind != manifestKindSharded {
-		return nil, fmt.Errorf("sdquery: open %s: directory holds a single-engine index; use OpenSDIndex or Open", dir)
-	}
-	p := m.Shards
-	engines := make([]*core.Engine, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for si := 0; si < p; si++ {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			eng, err := core.Open(*cfg.walConfig(shardWALDir(dir, si)), opt)
-			if err != nil {
-				errs[si] = fmt.Errorf("shard %d: %w", si, err)
-				return
-			}
-			engines[si] = eng
-		}(si)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// assembleSharded rebuilds the routing table from the recovered shards:
-	// the global ID space spans [0, max Total()); IDs whose rows were removed
-	// and physically reclaimed by compaction locate nowhere and route to -1
-	// (Remove reports them not-live without consulting any shard).
-	return assembleSharded(engines, cfg.workers), nil
-}
-
-// Open recovers whichever durable index kind dir holds, dispatching on its
-// MANIFEST — the convenient form for tools that serve any durable index
-// (cmd/sdserver -wal-dir).
+// Open recovers the durable index dir holds — the Engine-typed form of
+// OpenSDIndex, for tools that serve any durable index (cmd/sdserver
+// -wal-dir).
 func Open(dir string, opts ...SDOption) (Engine, error) {
-	var probe sdConfig
-	for _, o := range opts {
-		o(&probe)
-	}
-	ffs := probe.walFS
-	if ffs == nil {
-		ffs = faultfs.OS{}
-	}
-	m, err := readManifest(ffs, dir)
+	idx, err := OpenSDIndex(dir, opts...)
 	if err != nil {
 		return nil, err
 	}
-	if m.Kind == manifestKindSDIndex {
-		return OpenSDIndex(dir, opts...)
-	}
-	return OpenShardedIndex(dir, opts...)
+	return idx, nil
 }

@@ -3,6 +3,8 @@ package sdquery
 import (
 	"errors"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -91,11 +93,14 @@ func TestDurableSDIndexRoundTrip(t *testing.T) {
 	durableCheck(t, "twice-reopened sdindex", re2, data, dead)
 }
 
+// TestDurableShardedIndexRoundTrip runs the durable round trip on a
+// WithWorkers index with a multi-segment stack, so recovery rebuilds
+// several segments' trees through the pool.
 func TestDurableShardedIndexRoundTrip(t *testing.T) {
 	fs := faultfs.NewMem()
 	data := tieProneData(90, len(durableRoles), 4)
-	idx, err := NewShardedIndex(data, durableRoles,
-		WithWAL("idx"), WithWALFS(fs), WithShards(3), WithMemtableSize(16))
+	idx, err := NewSDIndex(data, durableRoles,
+		WithWAL("idx"), WithWALFS(fs), WithWorkers(3), WithMaxSegmentRows(32), WithMemtableSize(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,17 +108,14 @@ func TestDurableShardedIndexRoundTrip(t *testing.T) {
 	data, dead = durableMutate(t, idx, data, dead, 100, 5)
 	idx.Close()
 
-	re, err := OpenShardedIndex("idx", WithWALFS(fs))
+	re, err := OpenSDIndex("idx", WithWALFS(fs), WithWorkers(3), WithMaxSegmentRows(32))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if re.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", re.Shards())
-	}
-	durableCheck(t, "reopened sharded", re, data, dead)
+	durableCheck(t, "reopened with workers", re, data, dead)
 	data, dead = durableMutate(t, re, data, dead, 30, 6)
-	durableCheck(t, "reopened sharded after writes", re, data, dead)
+	durableCheck(t, "reopened with workers after writes", re, data, dead)
 }
 
 func TestDurableShardedHardDrop(t *testing.T) {
@@ -122,51 +124,94 @@ func TestDurableShardedHardDrop(t *testing.T) {
 	// commit, so recovery owes all of them.
 	fs := faultfs.NewMem()
 	data := tieProneData(40, len(durableRoles), 7)
-	idx, err := NewShardedIndex(data, durableRoles,
-		WithWAL("idx"), WithWALFS(fs), WithShards(2), WithMemtableSize(8))
+	idx, err := NewSDIndex(data, durableRoles,
+		WithWAL("idx"), WithWALFS(fs), WithWorkers(2), WithMemtableSize(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dead := make([]bool, len(data))
 	data, dead = durableMutate(t, idx, data, dead, 60, 8)
 
-	re, err := OpenShardedIndex("idx", WithWALFS(fs))
+	re, err := OpenSDIndex("idx", WithWALFS(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	durableCheck(t, "hard-drop sharded", re, data, dead)
+	durableCheck(t, "hard-drop", re, data, dead)
 }
 
+// rewriteManifest replaces dir's MANIFEST with body — how the tests stand
+// up directories in the layouts older releases wrote.
+func rewriteManifest(t *testing.T, fs faultfs.FS, dir, body string) {
+	t.Helper()
+	f, err := fs.OpenFile(dir+"/"+manifestName, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte(body)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableOpenDispatchesOnKind opens every manifest kind through Open and
+// OpenSDIndex. A "sharded" directory of one shard, as older releases wrote
+// it, has the same shard-000/ layout as an sdindex one and recovers like
+// it; one of more shards, or a malformed manifest, fails with an error
+// naming the problem and never panics.
 func TestDurableOpenDispatchesOnKind(t *testing.T) {
-	fs := faultfs.NewMem()
-	data := tieProneData(20, len(durableRoles), 9)
-	if _, err := NewSDIndex(data, durableRoles, WithWAL("one"), WithWALFS(fs)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewShardedIndex(data, durableRoles, WithWAL("many"), WithWALFS(fs), WithShards(2)); err != nil {
-		t.Fatal(err)
-	}
-	e1, err := Open("one", WithWALFS(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e1.(*SDIndex); !ok {
-		t.Fatalf("Open(one) = %T, want *SDIndex", e1)
-	}
-	e2, err := Open("many", WithWALFS(fs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := e2.(*ShardedIndex); !ok {
-		t.Fatalf("Open(many) = %T, want *ShardedIndex", e2)
-	}
-	// Kind-specific opens refuse the other kind.
-	if _, err := OpenSDIndex("many", WithWALFS(fs)); err == nil {
-		t.Fatal("OpenSDIndex on a sharded dir must fail")
-	}
-	if _, err := OpenShardedIndex("one", WithWALFS(fs)); err == nil {
-		t.Fatal("OpenShardedIndex on an sdindex dir must fail")
+	for _, tc := range []struct {
+		name     string
+		manifest string // "" keeps the one the index wrote
+		want     string // error substring; "" = opens
+	}{
+		{"sdindex", "", ""},
+		{"sharded-1", `{"format":"sdquery-wal/v1","kind":"sharded","shards":1}`, ""},
+		{"sharded-3", `{"format":"sdquery-wal/v1","kind":"sharded","shards":3}`, "3-shard index"},
+		{"sharded-0", `{"format":"sdquery-wal/v1","kind":"sharded","shards":0}`, "implausible shard count 0"},
+		{"unknown-kind", `{"format":"sdquery-wal/v1","kind":"tiled","shards":1}`, "unknown index kind"},
+		{"bad-format", `{"format":"sdquery-wal/v9","kind":"sdindex","shards":1}`, "unsupported manifest format"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := faultfs.NewMem()
+			data := tieProneData(20, len(durableRoles), 9)
+			idx, err := NewSDIndex(data, durableRoles, WithWAL("idx"), WithWALFS(fs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dead := make([]bool, len(data))
+			data, dead = durableMutate(t, idx, data, dead, 10, 13)
+			idx.Close()
+			if tc.manifest != "" {
+				rewriteManifest(t, fs, "idx", tc.manifest)
+			}
+			for _, open := range []struct {
+				name string
+				f    func() (Engine, error)
+			}{
+				{"Open", func() (Engine, error) { return Open("idx", WithWALFS(fs)) }},
+				{"OpenSDIndex", func() (Engine, error) { return OpenSDIndex("idx", WithWALFS(fs)) }},
+			} {
+				eng, err := open.f()
+				if tc.want != "" {
+					if err == nil || !strings.Contains(err.Error(), tc.want) {
+						t.Fatalf("%s: error %v, want one mentioning %q", open.name, err, tc.want)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", open.name, err)
+				}
+				re, ok := eng.(*SDIndex)
+				if !ok {
+					t.Fatalf("%s = %T, want *SDIndex", open.name, eng)
+				}
+				durableCheck(t, open.name, re, data, dead)
+				re.Close()
+			}
+		})
 	}
 }
 
@@ -179,19 +224,19 @@ func TestDurableCreateRefusesExistingDir(t *testing.T) {
 	if _, err := NewSDIndex(data, durableRoles, WithWAL("idx"), WithWALFS(fs)); err == nil {
 		t.Fatal("re-creating over a durable dir must fail")
 	}
-	if _, err := NewShardedIndex(data, durableRoles, WithWAL("idx"), WithWALFS(fs)); err == nil {
+	if _, err := NewSDIndex(data, durableRoles, WithWAL("idx"), WithWALFS(fs), WithWorkers(2)); err == nil {
 		t.Fatal("re-creating over a durable dir must fail")
 	}
 }
 
 func TestDurableRemovedReclaimedIDsRouteNowhere(t *testing.T) {
 	// Remove rows, force compaction to physically reclaim them, checkpoint,
-	// reopen: the reclaimed IDs are absent from every shard and must route
-	// to "not live" without panicking.
+	// reopen: the reclaimed IDs are absent from the index and must report
+	// "not live" without panicking.
 	fs := faultfs.NewMem()
 	data := tieProneData(30, len(durableRoles), 11)
-	idx, err := NewShardedIndex(data, durableRoles,
-		WithWAL("idx"), WithWALFS(fs), WithShards(2), WithMemtableSize(8))
+	idx, err := NewSDIndex(data, durableRoles,
+		WithWAL("idx"), WithWALFS(fs), WithWorkers(2), WithMemtableSize(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +253,7 @@ func TestDurableRemovedReclaimedIDsRouteNowhere(t *testing.T) {
 	}
 	idx.Close()
 
-	re, err := OpenShardedIndex("idx", WithWALFS(fs))
+	re, err := OpenSDIndex("idx", WithWALFS(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +263,7 @@ func TestDurableRemovedReclaimedIDsRouteNowhere(t *testing.T) {
 			t.Fatalf("reclaimed id %d reported live after reopen", id)
 		}
 	}
-	durableCheck(t, "post-reclaim sharded", re, data, dead)
+	durableCheck(t, "post-reclaim", re, data, dead)
 	// Fresh inserts keep extending the global ID space past the reclaimed
 	// prefix.
 	id, err := re.Insert(make([]float64, len(durableRoles)))
@@ -233,8 +278,8 @@ func TestDurableRemovedReclaimedIDsRouteNowhere(t *testing.T) {
 func TestDurableShardedSyncErrorDegradesToReadOnly(t *testing.T) {
 	fs := faultfs.NewMem()
 	data := tieProneData(20, len(durableRoles), 12)
-	idx, err := NewShardedIndex(data, durableRoles,
-		WithWAL("idx"), WithWALFS(fs), WithShards(2))
+	idx, err := NewSDIndex(data, durableRoles,
+		WithWAL("idx"), WithWALFS(fs), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package sdquery
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -74,7 +76,7 @@ const (
 var ErrWAL = core.ErrWAL
 
 // WALStats is the observable state of an index's write-ahead log; see
-// SDIndex.WALStats and ShardedIndex.WALStats.
+// SDIndex.WALStats.
 type WALStats = core.WALStats
 
 // SDOption configures NewSDIndex.
@@ -85,7 +87,6 @@ type sdConfig struct {
 	tree         topk.Config
 	angleDegrees []float64
 	useAngles    bool
-	shards       int
 	workers      int
 	workersSet   bool
 	columnWidth  int
@@ -171,8 +172,7 @@ func WithRebuildThreshold(theta float64) SDOption {
 // WithScheduler selects the sorted-access scheduling mode of the §5
 // aggregation (default SchedBoundDriven). Scheduling never changes answers —
 // only how many sorted accesses a query spends — so the knob exists for
-// ablation benchmarks and regression comparisons. A ShardedIndex applies the
-// mode to every shard engine.
+// ablation benchmarks and regression comparisons.
 func WithScheduler(m SchedulerMode) SDOption {
 	return func(c *sdConfig) { c.sched = m }
 }
@@ -181,9 +181,8 @@ func WithScheduler(m SchedulerMode) SDOption {
 // (default enabled). The cache memoizes the derived plan — surviving
 // subproblems, active weight signs — per query shape (which dimensions are
 // active, which roles engaged, which weights are zero), so repeated traffic
-// shapes skip plan derivation; QueryStats.PlanCacheHits reports hits. Each
-// shard of a ShardedIndex keeps its own cache, shared across its pooled
-// query contexts.
+// shapes skip plan derivation; QueryStats.PlanCacheHits reports hits. The
+// cache is shared across the index's pooled query contexts.
 func WithPlanCache(enabled bool) SDOption {
 	return func(c *sdConfig) { c.noPlanCache = !enabled }
 }
@@ -192,8 +191,7 @@ func WithPlanCache(enabled bool) SDOption {
 // compactor seals recent inserts into an immutable segment (default 1024).
 // Smaller values seal more eagerly — less per-query memtable scanning, more
 // frequent tree builds; larger values batch more inserts per seal. Queries
-// are exact at every setting. A ShardedIndex applies the threshold to every
-// shard engine.
+// are exact at every setting.
 func WithMemtableSize(rows int) SDOption {
 	return func(c *sdConfig) { c.memSize = rows }
 }
@@ -211,12 +209,10 @@ func WithCompaction(enabled bool) SDOption {
 // Every Insert and Remove is appended — checksummed and length-prefixed —
 // to a per-engine log before it is acknowledged, so a crash (process kill
 // or, under SyncAlways, power loss) never loses an acknowledged mutation:
-// Open/OpenSDIndex/OpenShardedIndex recover the directory by loading its
-// last checkpoint and replaying the log tail, truncating torn tails
-// instead of failing. dir must be empty or nonexistent at creation; an
-// existing durable index is recovered with the Open functions, never
-// overwritten. A ShardedIndex keeps one independently group-committed log
-// per shard under dir.
+// Open/OpenSDIndex recover the directory by loading its last checkpoint and
+// replaying the log tail, truncating torn tails instead of failing. dir must
+// be empty or nonexistent at creation; an existing durable index is
+// recovered with the Open functions, never overwritten.
 func WithWAL(dir string) SDOption {
 	return func(c *sdConfig) { c.walDir = dir }
 }
@@ -241,31 +237,28 @@ func WithWALFS(fs faultfs.FS) SDOption {
 	return func(c *sdConfig) { c.walFS = fs }
 }
 
-// WithShards sets the number of data shards NewShardedIndex partitions the
-// dataset into (≤ 0 selects GOMAXPROCS; the count is capped at the dataset
-// size). NewSDIndex ignores it.
-func WithShards(n int) SDOption {
-	return func(c *sdConfig) { c.shards = n }
-}
-
-// WithWorkers sets the size of the worker pool queries fan out on (≤ 0
-// selects GOMAXPROCS). The calling goroutine always participates in its own
-// query's fan-out, so the effective parallelism of one call is up to
-// workers+1, and concurrent calls each add their calling goroutine on top
-// of the shared pool — the pool bounds the extra goroutines, not total CPU
-// use.
+// WithWorkers gives the index a worker pool of n goroutines (≤ 0 selects
+// GOMAXPROCS). The calling goroutine always participates in its own call's
+// fan-out, so the effective parallelism of one call is up to workers+1, and
+// concurrent calls each add their calling goroutine on top of the shared
+// pool — the pool bounds the extra goroutines, not total CPU use.
 //
-// On a ShardedIndex the pool carries the per-shard fan-out, as before. On
-// NewSDIndex (and LoadSDIndex/OpenSDIndex) the option now enables
-// intra-query segment parallelism: one query's sealed segments are
-// aggregated concurrently, cooperating through a shared termination
-// threshold, and the per-segment candidate sets merge into answers
-// byte-identical to the sequential schedule. Omitting the option keeps
-// the sequential path with its fully deterministic Stats trace; an index
-// with a single sealed segment (the compacted steady state) runs
-// sequentially either way. Shard engines inside a ShardedIndex always
-// aggregate sequentially — the shard fan-out already occupies the pool,
-// and nesting batches on one pool could starve it.
+// The one pool carries all of the index's parallelism:
+//
+//   - Intra-query segment fan-out: one query's sealed segments are
+//     aggregated concurrently, cooperating through a shared termination
+//     threshold, and the per-segment candidate sets merge into answers
+//     byte-identical to the sequential schedule. An index with a single
+//     sealed segment (the compacted steady state) runs sequentially either
+//     way; WithMaxSegmentRows splits it.
+//   - BatchTopK: each query of a batch is one pool task. Batch members
+//     aggregate their segments sequentially, since a pool task must not
+//     fan out on its own pool again.
+//   - Segment builds: the bulk build, compaction, and Load build a
+//     segment's pair trees as concurrent pool tasks.
+//
+// Omitting the option keeps every path on the caller's goroutine, with the
+// fully deterministic Stats trace.
 func WithWorkers(n int) SDOption {
 	return func(c *sdConfig) { c.workers = n; c.workersSet = true }
 }
@@ -292,11 +285,16 @@ func WithMaxSegmentRows(rows int) SDOption {
 }
 
 // SDIndex is the paper's SD-Index: the general top-k engine with k and
-// weights supplied at query time.
+// weights supplied at query time. Because the SD-score of a point depends
+// only on that point, one index answers any top-k query exactly; WithWorkers
+// adds a worker pool for intra-query segment fan-out, BatchTopK, and
+// concurrent segment builds. Queries read an atomically loaded snapshot of
+// an immutable segment stack and take no lock, so they run concurrently with
+// Insert, Remove, and background compaction.
 type SDIndex struct {
 	eng   *core.Engine
 	roles []Role
-	pool  *workerPool // owned intra-query fan-out pool; nil without WithWorkers
+	pool  *workerPool // owned worker pool; nil without WithWorkers
 	buf   sync.Pool   // *[]query.Result scratch for the Append paths
 }
 
@@ -304,6 +302,42 @@ type SDIndex struct {
 // given build-time roles. Queries may later demote an active dimension to
 // Ignored but may not flip attractive and repulsive.
 func NewSDIndex(data [][]float64, roles []Role, opts ...SDOption) (*SDIndex, error) {
+	ids := make([]int32, len(data))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	return newSDIndex(data, ids, roles, opts)
+}
+
+// NewSDIndexWithIDs is NewSDIndex for a dataset that carries its own global
+// IDs — the constructor a cluster partition uses, so a node holding rows
+// {3, 17, 40, …} of the logical dataset answers queries with those original
+// IDs and the scatter-gather merge over partitions is byte-identical to one
+// index over the whole dataset. ids must be non-negative and strictly
+// ascending, one per row.
+func NewSDIndexWithIDs(data [][]float64, ids []int, roles []Role, opts ...SDOption) (*SDIndex, error) {
+	if len(data) != len(ids) {
+		return nil, fmt.Errorf("sdquery: %d rows but %d ids", len(data), len(ids))
+	}
+	if len(data) == 0 {
+		return nil, fmt.Errorf("sdquery: empty dataset")
+	}
+	ids32 := make([]int32, len(ids))
+	for i, id := range ids {
+		switch {
+		case id < 0 || id > math.MaxInt32:
+			return nil, fmt.Errorf("sdquery: id %d outside [0, %d]", id, math.MaxInt32)
+		case i > 0 && id == ids[i-1]:
+			return nil, fmt.Errorf("sdquery: duplicate id %d", id)
+		case i > 0 && id < ids[i-1]:
+			return nil, fmt.Errorf("sdquery: ids must be strictly ascending (%d after %d)", id, ids[i-1])
+		}
+		ids32[i] = int32(id)
+	}
+	return newSDIndex(data, ids32, roles, opts)
+}
+
+func newSDIndex(data [][]float64, ids []int32, roles []Role, opts []SDOption) (*SDIndex, error) {
 	var cfg sdConfig
 	for _, o := range opts {
 		o(&cfg)
@@ -313,24 +347,35 @@ func NewSDIndex(data [][]float64, roles []Role, opts ...SDOption) (*SDIndex, err
 		return nil, err
 	}
 	if cfg.walDir != "" {
-		if err := writeManifest(&cfg, manifestKindSDIndex, 1); err != nil {
+		if err := writeManifest(&cfg); err != nil {
 			return nil, err
 		}
-		coreCfg.WAL = cfg.walConfig(shardWALDir(cfg.walDir, 0))
+		coreCfg.WAL = cfg.walConfig(engineWALDir(cfg.walDir))
 	}
-	var pool *workerPool
-	if cfg.workersSet {
-		pool = newWorkerPool(cfg.workers)
-		coreCfg.Pool = poolRunner{pool}
+	return cfg.open(func(pool core.Runner) (*core.Engine, error) {
+		coreCfg.Pool = pool
+		return core.NewWithIDs(data, ids, coreCfg)
+	})
+}
+
+// open builds the index around the engine that mk constructs, handing mk the
+// WithWorkers pool as the engine's Runner (nil without the option). Every
+// constructor — build, Load, Open, follower bootstrap — goes through it.
+func (c *sdConfig) open(mk func(pool core.Runner) (*core.Engine, error)) (*SDIndex, error) {
+	var (
+		pool   *workerPool
+		runner core.Runner
+	)
+	if c.workersSet {
+		pool = newWorkerPool(c.workers)
+		runner = poolRunner{pool}
 	}
-	eng, err := core.New(data, coreCfg)
+	eng, err := mk(runner)
 	if err != nil {
-		if pool != nil {
-			pool.close()
-		}
+		pool.close()
 		return nil, err
 	}
-	return &SDIndex{eng: eng, roles: append([]Role(nil), roles...), pool: pool}, nil
+	return &SDIndex{eng: eng, roles: eng.Roles(), pool: pool}, nil
 }
 
 // TopK answers the query. See Engine.
@@ -395,13 +440,12 @@ func (s *SDIndex) Checkpoint() error { return s.eng.Checkpoint() }
 
 // Close flushes and closes the index's write-ahead log and releases the
 // WithWorkers pool's goroutines. The index stays queryable — reads never
-// touch the log, and a closed pool degrades queries to the sequential
-// schedule (same answers) rather than failing — but every later mutation
-// fails with ErrWAL on a WAL index. Idempotent.
+// touch the log, and a closed pool degrades queries and batches to the
+// caller's goroutine (same answers) rather than failing — but every later
+// mutation fails with ErrWAL on a WAL index. Idempotent, and safe to call
+// concurrently with queries.
 func (s *SDIndex) Close() {
-	if s.pool != nil {
-		s.pool.close()
-	}
+	s.pool.close()
 	s.eng.Close()
 }
 

@@ -195,16 +195,21 @@ func TestDifferentialPE(t *testing.T) {
 	})
 }
 
+// TestDifferentialShardedIndex runs the oracle workloads on pooled indexes
+// of one, two, and five workers, with segments capped at 32 rows and a
+// small memtable, so queries fan out over several segments and the update
+// phase's compactions build trees on the pool. (The name and subtest names
+// predate the single-engine index, when they counted shards.)
 func TestDifferentialShardedIndex(t *testing.T) {
-	for _, shards := range []int{1, 2, 5} {
-		shards := shards
-		t.Run(map[int]string{1: "one", 2: "two", 5: "five"}[shards], func(t *testing.T) {
+	for _, workers := range []int{1, 2, 5} {
+		workers := workers
+		t.Run(map[int]string{1: "one", 2: "two", 5: "five"}[workers], func(t *testing.T) {
 			enginetest.Run(t, enginetest.Factory{
-				Name:          "sharded",
+				Name:          "pooled",
 				Deterministic: true,
 				New: func(data [][]float64, roles []sdquery.Role) (sdquery.Engine, error) {
-					return sdquery.NewShardedIndex(data, roles,
-						sdquery.WithShards(shards), sdquery.WithWorkers(3))
+					return sdquery.NewSDIndex(data, roles, sdquery.WithWorkers(workers),
+						sdquery.WithMaxSegmentRows(32), sdquery.WithMemtableSize(8))
 				},
 			})
 		})

@@ -44,8 +44,8 @@ func makeSpecs(roles []query.Role, k, count int, seed int64) []query.Spec {
 }
 
 // BatchSpecs exposes the evaluation's query workload to external drivers —
-// cmd/sdbench's shard-count sweep runs it through the public ShardedIndex,
-// which this internal package cannot import. The roles split the first
+// cmd/sdbench's JSON report, serve load, and cluster workloads run it
+// through the public SDIndex, which this internal package cannot import. The roles split the first
 // `attractive` dimensions into S and the rest into D; query points are
 // uniform and weights U(0, 1), exactly as makeSpecs draws them.
 func BatchSpecs(dims, attractive, k, count int, seed int64) ([]query.Spec, []query.Role) {

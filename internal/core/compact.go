@@ -183,7 +183,7 @@ func (e *Engine) compactTail(nSegs, memUpto int) {
 				}
 			}
 		}
-		built, err := buildSegment(cols, ids[clo:chi:chi], d, &e.layout, e.treeCfg, e.colWidth)
+		built, err := e.buildSegment(cols, ids[clo:chi:chi])
 		if err != nil {
 			// Every row was validated at insert time; a build failure here is
 			// a bug, but the safe reaction is to leave the current (correct,

@@ -43,6 +43,10 @@ import (
 // originating context's error.
 var ErrCanceled = errors.New("core: query canceled")
 
+// ErrIDExists is returned by InsertWithID when the caller-assigned ID is not
+// above the engine's indexed ID space: the slot was already assigned.
+var ErrIDExists = errors.New("core: ID already within the indexed ID space")
+
 // Pairing selects the strategy mapping repulsive to attractive dimensions
 // (the bijection f of Eqn. 10).
 type Pairing int
@@ -227,9 +231,8 @@ func New(data [][]float64, cfg Config) (*Engine, error) {
 }
 
 // NewWithIDs is New with caller-assigned global dataset IDs (strictly
-// ascending). The sharded execution layer deals rows to shard engines this
-// way, so every engine's results — and its ascending-ID tie-break — are in
-// terms of the same global ID space.
+// ascending). A cluster partition is built this way, so its results — and
+// its ascending-ID tie-break — are in terms of the cluster-wide ID space.
 func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 	dims := len(cfg.Roles)
 	if len(ids) != len(data) {
@@ -323,7 +326,7 @@ func NewWithIDs(data [][]float64, ids []int32, cfg Config) (*Engine, error) {
 					c[i] = data[lo+i][d]
 				}
 			}
-			seg, err := buildSegment(cols, ids[lo:hi:hi], dims, &e.layout, e.treeCfg, e.colWidth)
+			seg, err := e.buildSegment(cols, ids[lo:hi:hi])
 			if err != nil {
 				return nil, err
 			}
@@ -496,7 +499,7 @@ type Stats struct {
 	// across scheduling modes.
 	Rounds int
 	// PlanCacheHits is 1 when the query's plan came from the engine's plan
-	// cache, 0 when it was derived. Sharded engines sum it across shards.
+	// cache, 0 when it was derived.
 	PlanCacheHits int
 }
 

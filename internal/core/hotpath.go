@@ -248,7 +248,7 @@ func (c *queryCtx) markSeen(id int32) bool {
 // and the engine's configured scheduler (scheduler.go) drives the §5
 // aggregation to the exact answer.
 func (e *Engine) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result, Stats, error) {
-	return e.topKAppendAt(e.snap.Load(), dst, spec, nil)
+	return e.topKAppendAt(e.snap.Load(), dst, spec, nil, false)
 }
 
 // TopKAppendCancel is TopKAppend with a cancellation signal: when done is
@@ -258,12 +258,13 @@ func (e *Engine) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result
 // zero-allocation hot path is unchanged; the poll is nil-guarded). This is
 // the deadline plumbing the serving layer's per-request timeouts stand on.
 func (e *Engine) TopKAppendCancel(dst []query.Result, spec query.Spec, done <-chan struct{}) ([]query.Result, Stats, error) {
-	return e.topKAppendAt(e.snap.Load(), dst, spec, done)
+	return e.topKAppendAt(e.snap.Load(), dst, spec, done, false)
 }
 
 // topKAppendAt is TopKAppend evaluated at a pinned snapshot (the View query
-// path and the default path share it).
-func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec, done <-chan struct{}) ([]query.Result, Stats, error) {
+// path and the default path share it). seq keeps the aggregation on the
+// caller's goroutine even when the engine has a Runner (View.Sequential).
+func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec, done <-chan struct{}, seq bool) ([]query.Result, Stats, error) {
 	var stats Stats
 	if err := spec.Validate(e.dims); err != nil {
 		return dst, stats, err
@@ -292,7 +293,7 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 
 	// Ties are broken by ascending global dataset ID, exactly like the
 	// sequential scan: every engine answer is then byte-identical to the
-	// oracle's, and per-shard answers merge into the exact global top-k.
+	// oracle's, and per-partition answers merge into the exact global top-k.
 	coll := c.coll
 	coll.Reset(spec.K)
 	stats.Segments = len(sn.segs)
@@ -332,7 +333,7 @@ func (e *Engine) topKAppendAt(sn *snapshot, dst []query.Result, spec query.Spec,
 	// summed weighted reach budgets the whole summation chain with orders
 	// of magnitude to spare. Pads are tracked per segment: a point's
 	// unknown contributions come only from its own segment's subproblems.
-	par := e.pool != nil && len(sn.segs) > 1
+	par := e.pool != nil && !seq && len(sn.segs) > 1
 	if !par {
 		for s := 0; s < len(sn.segs); s++ {
 			c.segPad[s] = 0

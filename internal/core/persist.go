@@ -191,9 +191,9 @@ func (e *Engine) saveSnapshot(w io.Writer, sn *snapshot) error {
 // warmth, plan cache contents, in-flight compaction).
 //
 // Load consumes exactly the engine's section of the stream — it does not
-// buffer ahead — so several engines concatenate in one file (the sharded
-// format relies on this). Callers should hand in an already-buffered
-// reader.
+// buffer ahead — so it can follow an outer header in the same stream (the
+// public file format relies on this). Callers should hand in an
+// already-buffered reader.
 func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 	cr := &countingReader{r: r}
 	fail := func(format string, args ...any) (*Engine, error) {
@@ -421,7 +421,7 @@ func Load(r io.Reader, opt RuntimeOptions) (*Engine, error) {
 		if version < 3 {
 			cols = transposeToCols(block, len(ids), dims)
 		}
-		seg, err := buildSegment(cols, ids, dims, &e.layout, e.treeCfg, e.colWidth)
+		seg, err := e.buildSegment(cols, ids)
 		if err != nil {
 			return nil, err
 		}

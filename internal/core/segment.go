@@ -104,16 +104,19 @@ func transposeToCols(flat []float64, rows, dims int) []float64 {
 }
 
 // buildSegment seals rows (cols, dimension-major, with their global IDs) into
-// an immutable segment under the engine's layout and tree configuration. IDs
-// must be strictly ascending; width is the engine's column width (64, or 32
-// for the narrow-sweep layout). An empty row set returns nil.
-func buildSegment(cols []float64, ids []int32, dims int, lo *layout, treeCfg topk.Config, width int) (*segment, error) {
-	rows := len(ids)
+// an immutable segment under the engine's layout, tree configuration, and
+// column width. IDs must be strictly ascending. The segment's pair trees and
+// sorted lists are independent builds over read-only columns; with a Runner
+// configured (Config.Pool) each one is a task on it, so the bulk build,
+// compaction, and Load all spread a segment's tree builds across the pool.
+// An empty row set returns nil.
+func (e *Engine) buildSegment(cols []float64, ids []int32) (*segment, error) {
+	rows, dims, lo := len(ids), e.dims, &e.layout
 	if rows == 0 {
 		return nil, nil
 	}
 	s := &segment{ids: ids, cols: cols, rows: rows, dims: dims}
-	if width == 32 {
+	if e.colWidth == 32 {
 		s.cols32 = make([]float32, len(cols))
 		s.qerr = make([]float64, dims)
 		for d := 0; d < dims; d++ {
@@ -121,8 +124,8 @@ func buildSegment(cols []float64, ids []int32, dims int, lo *layout, treeCfg top
 			for i, v := range cols[d*rows : (d+1)*rows] {
 				n := float32(v)
 				s.cols32[d*rows+i] = n
-				if e := math.Abs(v - float64(n)); e > worst {
-					worst = e
+				if q := math.Abs(v - float64(n)); q > worst {
+					worst = q
 				}
 			}
 			s.qerr[d] = worst
@@ -130,31 +133,43 @@ func buildSegment(cols []float64, ids []int32, dims int, lo *layout, treeCfg top
 	}
 	// Trees and lists copy their input columns, so they can slice the block
 	// directly — the throwaway per-dimension copies the row-major layout
-	// forced are gone.
-	colOf := s.col
+	// forced are gone. Task i < len(trees) builds tree i (grid position
+	// ri·|att|+ai on adaptive engines); the rest build the lone lists.
+	var trees []*topk.Index
+	pairOf := func(i int) (rep, attr int) { return lo.pairs[i].Rep, lo.pairs[i].Attr }
 	if lo.adaptive {
 		s.grid = make([]*topk.Index, len(lo.gridRep)*len(lo.gridAtt))
-		for ri, r := range lo.gridRep {
-			for ai, a := range lo.gridAtt {
-				tree, err := topk.BuildColumns(colOf(a), colOf(r), treeCfg)
-				if err != nil {
-					return nil, fmt.Errorf("core: pair (%d, %d): %w", r, a, err)
-				}
-				s.grid[ri*len(lo.gridAtt)+ai] = tree
-			}
-		}
+		trees = s.grid
+		pairOf = func(i int) (int, int) { return lo.gridRep[i/len(lo.gridAtt)], lo.gridAtt[i%len(lo.gridAtt)] }
 	} else {
 		s.trees = make([]*topk.Index, len(lo.pairs))
-		for i, pr := range lo.pairs {
-			tree, err := topk.BuildColumns(colOf(pr.Attr), colOf(pr.Rep), treeCfg)
-			if err != nil {
-				return nil, fmt.Errorf("core: pair (%d, %d): %w", pr.Rep, pr.Attr, err)
-			}
-			s.trees[i] = tree
-		}
 		s.lists = make([]*dimlist.List, len(lo.lone))
-		for i, d := range lo.lone {
-			s.lists[i] = dimlist.FromColumn(colOf(d))
+		trees = s.trees
+	}
+	errs := make([]error, len(trees)+len(s.lists))
+	build := func(i int) {
+		if i >= len(trees) {
+			s.lists[i-len(trees)] = dimlist.FromColumn(s.col(lo.lone[i-len(trees)]))
+			return
+		}
+		r, a := pairOf(i)
+		tree, err := topk.BuildColumns(s.col(a), s.col(r), e.treeCfg)
+		if err != nil {
+			errs[i] = fmt.Errorf("core: pair (%d, %d): %w", r, a, err)
+			return
+		}
+		trees[i] = tree
+	}
+	if e.pool != nil {
+		e.pool.Do(len(errs), build)
+	} else {
+		for i := range errs {
+			build(i)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	for _, t := range s.trees {

@@ -108,8 +108,19 @@ func (sn *snapshot) alive(seg, local int) bool {
 // matter how many Inserts, Removes, or compactions run afterwards. The zero
 // View is not usable; acquire one with Engine.View.
 type View struct {
-	e  *Engine
-	sn *snapshot
+	e   *Engine
+	sn  *snapshot
+	seq bool // aggregate on the caller's goroutine even with a Runner
+}
+
+// Sequential returns the View with intra-query segment fan-out turned off:
+// its queries aggregate every segment on the calling goroutine, with the
+// same answers. A caller already running as a task on the engine's Runner
+// (a BatchTopK member) queries through it, because a task must not fan out
+// on the runner it runs on.
+func (v View) Sequential() View {
+	v.seq = true
+	return v
 }
 
 // Valid reports whether the View was acquired from an engine.
@@ -143,14 +154,14 @@ func (v View) TopK(spec query.Spec) ([]query.Result, error) {
 
 // TopKAppend is Engine.TopKAppend evaluated at the View's snapshot.
 func (v View) TopKAppend(dst []query.Result, spec query.Spec) ([]query.Result, Stats, error) {
-	return v.e.topKAppendAt(v.sn, dst, spec, nil)
+	return v.e.topKAppendAt(v.sn, dst, spec, nil, v.seq)
 }
 
 // TopKAppendCancel is Engine.TopKAppendCancel evaluated at the View's
 // snapshot: when done is closed the aggregation stops at its next
 // scheduling step and returns ErrCanceled.
 func (v View) TopKAppendCancel(dst []query.Result, spec query.Spec, done <-chan struct{}) ([]query.Result, Stats, error) {
-	return v.e.topKAppendAt(v.sn, dst, spec, done)
+	return v.e.topKAppendAt(v.sn, dst, spec, done, v.seq)
 }
 
 // Insert appends a point to the memtable and returns its global dataset ID.
@@ -161,85 +172,62 @@ func (v View) TopKAppendCancel(dst []query.Result, spec query.Spec, done <-chan 
 // perturbed. On a WAL-backed engine the call returns only once the record
 // is committed per the sync policy; a durability failure returns ErrWAL.
 func (e *Engine) Insert(p []float64) (int, error) {
-	id, wait, err := e.InsertAsync(p)
-	if err != nil {
-		return 0, err
-	}
-	if wait != nil {
-		if err := wait(); err != nil {
-			return 0, err
-		}
-	}
-	return id, nil
-}
-
-// InsertAsync is Insert split in two: the mutation is applied and logged
-// before return, but durability is awaited by calling the returned
-// CommitWait (nil when there is nothing to wait for). Batching callers —
-// the sharded layer — enqueue several inserts and then wait, so one group
-// commit covers them all.
-func (e *Engine) InsertAsync(p []float64) (int, CommitWait, error) {
 	if err := validRow(p, e.dims); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	e.wrMu.Lock()
 	cur := e.snap.Load()
 	id := cur.total
 	if int64(id) > math.MaxInt32 {
 		e.wrMu.Unlock()
-		return 0, nil, fmt.Errorf("core: dataset ID space exhausted (%d rows)", id)
+		return 0, fmt.Errorf("core: dataset ID space exhausted (%d rows)", id)
 	}
-	wait, err := e.logAndPublishInsert(cur, int32(id), p)
-	memRows := len(e.snap.Load().memIDs)
-	e.wrMu.Unlock()
-	if err != nil {
-		return 0, nil, err
+	if err := e.insertLocked(cur, int32(id), p); err != nil {
+		return 0, err
 	}
-	if memRows >= e.memSize {
-		e.kickCompactor()
-	}
-	return id, wait, nil
+	return id, nil
 }
 
 // InsertWithID is Insert with a caller-assigned global ID, which must
-// exceed every ID already indexed — the sharded layer deals rows to shard
-// engines this way so results carry global IDs natively.
+// exceed every ID already indexed; an ID inside the space fails with
+// ErrIDExists. Cluster partitions insert router-assigned IDs this way, so
+// results carry cluster-wide IDs natively.
 func (e *Engine) InsertWithID(id int, p []float64) error {
-	wait, err := e.InsertWithIDAsync(id, p)
+	if err := validRow(p, e.dims); err != nil {
+		return err
+	}
+	if id < 0 || int64(id) > math.MaxInt32 {
+		return fmt.Errorf("core: ID %d outside int32 range", id)
+	}
+	e.wrMu.Lock()
+	cur := e.snap.Load()
+	if id < cur.total {
+		// Checked under wrMu, so of two concurrent inserts of one ID exactly
+		// one publishes and the other always sees the sentinel.
+		e.wrMu.Unlock()
+		return ErrIDExists
+	}
+	return e.insertLocked(cur, int32(id), p)
+}
+
+// insertLocked logs and publishes a validated insert, releases wrMu, kicks
+// the compactor past the memtable threshold, and then waits for the group
+// commit — outside the lock, so concurrent inserts share one fsync. Caller
+// holds wrMu.
+func (e *Engine) insertLocked(cur *snapshot, id int32, p []float64) error {
+	wait, err := e.logAndPublishInsert(cur, id, p)
+	memRows := len(e.snap.Load().memIDs)
+	e.wrMu.Unlock()
 	if err != nil {
 		return err
+	}
+	if memRows >= e.memSize {
+		e.kickCompactor()
 	}
 	if wait != nil {
 		return wait()
 	}
 	return nil
-}
-
-// InsertWithIDAsync is InsertWithID with the durability wait split out —
-// see InsertAsync.
-func (e *Engine) InsertWithIDAsync(id int, p []float64) (CommitWait, error) {
-	if err := validRow(p, e.dims); err != nil {
-		return nil, err
-	}
-	if id < 0 || int64(id) > math.MaxInt32 {
-		return nil, fmt.Errorf("core: ID %d outside int32 range", id)
-	}
-	e.wrMu.Lock()
-	cur := e.snap.Load()
-	if id < cur.total {
-		e.wrMu.Unlock()
-		return nil, fmt.Errorf("core: ID %d not above the indexed ID space (%d)", id, cur.total)
-	}
-	wait, err := e.logAndPublishInsert(cur, int32(id), p)
-	memRows := len(e.snap.Load().memIDs)
-	e.wrMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	if memRows >= e.memSize {
-		e.kickCompactor()
-	}
-	return wait, nil
 }
 
 // logAndPublishInsert appends the insert's WAL record (if logging) and
@@ -321,8 +309,9 @@ func (e *Engine) RemoveDurable(id int) (bool, error) {
 	return ok, nil
 }
 
-// RemoveAsync is Remove with the durability wait split out — see
-// InsertAsync. A remove that found no live row returns (false, nil, nil)
+// RemoveAsync is Remove with the durability wait split out: the tombstone is
+// applied and logged before return, and durability is awaited by calling the
+// returned CommitWait (nil when there is nothing to wait for). A remove that found no live row returns (false, nil, nil)
 // and logs nothing.
 func (e *Engine) RemoveAsync(id int) (bool, CommitWait, error) {
 	e.wrMu.Lock()

@@ -635,23 +635,8 @@ func (e *Engine) WALStats() WALStats {
 }
 
 // Total reports the engine's global-ID-space size: every past insert's ID is
-// below it, and the next caller-assigned ID must not be. The sharded layer
-// rebuilds its ID-routing table against it after recovery.
+// below it, and the next caller-assigned ID must not be.
 func (e *Engine) Total() int { return e.snap.Load().total }
-
-// RangeIDs calls f with every global ID the engine still locates — live or
-// tombstoned — in ascending order.
-func (e *Engine) RangeIDs(f func(id int32)) {
-	sn := e.snap.Load()
-	for _, s := range sn.segs {
-		for _, id := range s.ids {
-			f(id)
-		}
-	}
-	for _, id := range sn.memIDs {
-		f(id)
-	}
-}
 
 // Open recovers a WAL-backed engine from its directory: load the
 // checkpoint, replay the log tail (idempotently, by LSN), truncate at the

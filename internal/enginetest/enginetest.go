@@ -9,8 +9,8 @@
 // quantized coordinates that force duplicate scores; degenerate
 // all-attractive and all-repulsive role sets) and checks every answer
 // against the oracle recomputed from first principles. Engines that promise
-// deterministic ascending-ID tie-breaking (scan, SDIndex, TA, ShardedIndex)
-// must be byte-identical to the oracle; the rest (BRS, PE) must return the
+// deterministic ascending-ID tie-breaking (scan, SDIndex, TA) must be
+// byte-identical to the oracle; the rest (BRS, PE) must return the
 // exact top-k score multiset with every claimed score verified by
 // rescoring. Engines exposing Insert/Remove are additionally exercised
 // through a randomized update phase with the oracle tracking live rows,
@@ -45,7 +45,7 @@ type Factory struct {
 	SkipUpdates bool
 }
 
-// updatable is the update surface shared by SDIndex and ShardedIndex.
+// updatable is SDIndex's update surface.
 type updatable interface {
 	Insert(p []float64) (int, error)
 	Remove(id int) bool
@@ -57,15 +57,9 @@ type frozenView interface {
 	Len() int
 }
 
-// snapshotOf acquires an engine's snapshot when it offers one (SDIndex and
-// ShardedIndex return distinct concrete types; both satisfy frozenView).
+// snapshotOf acquires an engine's snapshot when it offers one.
 func snapshotOf(eng sdquery.Engine) frozenView {
-	switch e := eng.(type) {
-	case interface{ Snapshot() *sdquery.Snapshot }:
-		return e.Snapshot()
-	case interface {
-		Snapshot() *sdquery.ShardedSnapshot
-	}:
+	if e, ok := eng.(interface{ Snapshot() *sdquery.Snapshot }); ok {
 		return e.Snapshot()
 	}
 	return nil

@@ -9,19 +9,25 @@ import (
 	"repro/internal/core"
 )
 
-// Persistence: SDIndex and ShardedIndex serialize to a versioned binary
-// format and load back bit-exactly — the reloaded index returns the same
-// answers (ascending-ID tie-breaks included) and reports the same Bytes,
-// because sealed segments round-trip their exact rows, global IDs, and
-// tombstones, and their index structures rebuild deterministically. A
-// persisted index therefore restarts without re-ingesting data or replaying
-// updates: `cmd/sdquery -index file` serves queries straight from the file.
+// Persistence: an SDIndex serializes to a versioned binary format and loads
+// back bit-exactly — the reloaded index returns the same answers
+// (ascending-ID tie-breaks included) and reports the same Bytes, because
+// sealed segments round-trip their exact rows, global IDs, and tombstones,
+// and their index structures rebuild deterministically. A persisted index
+// therefore restarts without re-ingesting data or replaying updates:
+// `cmd/sdquery -index file` serves queries straight from the file.
 //
-// The file's structural identity — roles, pairing layout, tree shape,
-// shard partition — is authoritative; SDOptions passed to the Load
-// functions configure runtime behavior only (scheduler, plan cache,
-// memtable threshold, compaction, workers). Structural options (pairing,
-// branching, angles, shard count) are ignored on load.
+// The file's structural identity — roles, pairing layout, tree shape — is
+// authoritative; SDOptions passed to the Load functions configure runtime
+// behavior only (scheduler, plan cache, memtable threshold, compaction,
+// workers). Structural options (pairing, branching, angles) are ignored on
+// load.
+//
+// Older releases also wrote a sharded file kind: a shard header, a routing
+// table, and one engine section per shard. A one-shard file holds exactly
+// one engine section, so Load skips the header and table and loads it like
+// a single-engine file; a file of more shards is refused with an error
+// naming the shard count.
 
 // fileMagic opens every persisted index; fileVersion versions the outer
 // envelope (the core engine section carries its own version).
@@ -31,7 +37,7 @@ const (
 	fileVersion = 1
 
 	kindSDIndex = 1
-	kindSharded = 2
+	kindSharded = 2 // written by older releases; read only (skipShardHeader)
 )
 
 func writeHeader(w io.Writer, kind uint8) error {
@@ -93,121 +99,53 @@ func LoadSDIndex(r io.Reader, opts ...SDOption) (*SDIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	if kind != kindSDIndex {
-		return nil, fmt.Errorf("sdquery: load: file holds a sharded index; use LoadShardedIndex or Load")
+	switch kind {
+	case kindSDIndex:
+	case kindSharded:
+		if err := skipShardHeader(br); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("sdquery: load: unknown index kind %d", kind)
 	}
-	return loadSDIndexBody(br, opts)
-}
-
-func loadSDIndexBody(r io.Reader, opts []SDOption) (*SDIndex, error) {
 	opt, cfg := runtimeOptions(opts)
-	var pool *workerPool
-	if cfg.workersSet {
-		pool = newWorkerPool(cfg.workers)
-		opt.Pool = poolRunner{pool}
-	}
-	eng, err := core.Load(r, opt)
-	if err != nil {
-		if pool != nil {
-			pool.close()
-		}
-		return nil, err
-	}
-	return &SDIndex{eng: eng, roles: eng.Roles(), pool: pool}, nil
+	return cfg.open(func(pool core.Runner) (*core.Engine, error) {
+		opt.Pool = pool
+		return core.Load(br, opt)
+	})
 }
 
-// Save serializes the sharded index: the shard partition, the routing
-// table, and every shard engine's snapshot. It briefly holds the routing
-// lock so the cross-shard cut is consistent; queries keep flowing.
-func (s *ShardedIndex) Save(w io.Writer) error {
-	if err := writeHeader(w, kindSharded); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	hdr := []any{uint32(len(s.shards)), uint32(s.next), uint64(len(s.byGlobal))}
-	for _, v := range hdr {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	if err := binary.Write(w, binary.LittleEndian, s.byGlobal); err != nil {
-		return err
-	}
-	for si, sh := range s.shards {
-		if err := sh.eng.Save(w); err != nil {
-			return fmt.Errorf("shard %d: %w", si, err)
-		}
-	}
-	return nil
-}
-
-// LoadShardedIndex reconstructs a saved ShardedIndex. The shard partition
-// comes from the file (WithShards is ignored); WithWorkers and the runtime
-// engine knobs apply.
-func LoadShardedIndex(r io.Reader, opts ...SDOption) (*ShardedIndex, error) {
-	br := bufio.NewReader(r)
-	kind, err := readHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if kind != kindSharded {
-		return nil, fmt.Errorf("sdquery: load: file holds a single-engine index; use LoadSDIndex or Load")
-	}
-	return loadShardedBody(br, opts)
-}
-
-func loadShardedBody(r io.Reader, opts []SDOption) (*ShardedIndex, error) {
-	opt, cfg := runtimeOptions(opts)
+// skipShardHeader consumes an old sharded file's shard header and routing
+// table, leaving r at its single engine section. Files of more than one
+// shard hold several engine sections, which no longer load.
+func skipShardHeader(r io.Reader) error {
 	var shards, next uint32
 	var rows uint64
 	for _, v := range []any{&shards, &next, &rows} {
 		if err := binary.Read(r, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("sdquery: load: %w", err)
+			return fmt.Errorf("sdquery: load: %w", err)
 		}
 	}
-	if shards == 0 || shards > 1<<20 || next >= shards || rows > 1<<31 {
-		return nil, fmt.Errorf("sdquery: load: implausible shard header (%d shards, cursor %d, %d rows)", shards, next, rows)
+	if shards == 0 || next >= shards || rows > 1<<31 {
+		return fmt.Errorf("sdquery: load: implausible shard header (%d shards, cursor %d, %d rows)", shards, next, rows)
 	}
-	s := &ShardedIndex{
-		byGlobal: make([]int32, rows),
-		next:     int(next),
-		shards:   make([]*shard, shards),
+	if shards > 1 {
+		return fmt.Errorf("sdquery: load: file holds a %d-shard index written by an older release; only 1-shard files still load", shards)
 	}
-	if err := binary.Read(r, binary.LittleEndian, s.byGlobal); err != nil {
-		return nil, fmt.Errorf("sdquery: load: %w", err)
+	// The routing table: one int32 shard number per global ID.
+	if _, err := io.CopyN(io.Discard, r, int64(rows)*4); err != nil {
+		return fmt.Errorf("sdquery: load: routing table: %w", err)
 	}
-	for _, si := range s.byGlobal {
-		if si < 0 || si >= int32(shards) {
-			return nil, fmt.Errorf("sdquery: load: routing table names shard %d of %d", si, shards)
-		}
-	}
-	for si := range s.shards {
-		eng, err := core.Load(r, opt)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", si, err)
-		}
-		s.shards[si] = &shard{eng: eng}
-	}
-	s.roles = s.shards[0].eng.Roles()
-	s.pool = newWorkerPool(cfg.workers)
-	return s, nil
+	return nil
 }
 
-// Load reconstructs whichever index kind the stream holds, dispatching on
-// the file header — the convenient form for tools that serve any persisted
-// index (cmd/sdquery -index).
+// Load reconstructs a persisted index — the Engine-typed form of
+// LoadSDIndex, for tools that serve any persisted index (cmd/sdquery
+// -index).
 func Load(r io.Reader, opts ...SDOption) (Engine, error) {
-	br := bufio.NewReader(r)
-	kind, err := readHeader(br)
+	idx, err := LoadSDIndex(r, opts...)
 	if err != nil {
 		return nil, err
 	}
-	switch kind {
-	case kindSDIndex:
-		return loadSDIndexBody(br, opts)
-	case kindSharded:
-		return loadShardedBody(br, opts)
-	}
-	return nil, fmt.Errorf("sdquery: load: unknown index kind %d", kind)
+	return idx, nil
 }

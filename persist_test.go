@@ -8,7 +8,9 @@ package sdquery
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -127,10 +129,13 @@ func TestSaveLoadSDIndexRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveLoadShardedRoundTrip round-trips a WithWorkers index with a
+// multi-segment stack, loaded back WithWorkers so Load rebuilds the
+// segments' trees through the pool.
 func TestSaveLoadShardedRoundTrip(t *testing.T) {
 	roles := []Role{Repulsive, Attractive, Repulsive}
 	data := dataset.Generate(dataset.Uniform, 500, len(roles), 51)
-	idx, err := NewShardedIndex(data, roles, WithShards(3), WithMemtableSize(32))
+	idx, err := NewSDIndex(data, roles, WithWorkers(3), WithMaxSegmentRows(100), WithMemtableSize(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +145,7 @@ func TestSaveLoadShardedRoundTrip(t *testing.T) {
 	// Background compaction keeps publishing after the churn, so a Bytes
 	// figure read around Save may describe a different snapshot than the
 	// saved one. Bracket the read and the Save with Epoch: an unchanged
-	// epoch proves no shard published in between, so wantBytes is exactly
+	// epoch proves nothing published in between, so wantBytes is exactly
 	// the saved snapshot's.
 	var buf bytes.Buffer
 	var wantBytes int
@@ -158,18 +163,11 @@ func TestSaveLoadShardedRoundTrip(t *testing.T) {
 			break
 		}
 	}
-	eng, err := Load(bytes.NewReader(buf.Bytes()))
+	loaded, err := LoadSDIndex(bytes.NewReader(buf.Bytes()), WithWorkers(3), WithMaxSegmentRows(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, ok := eng.(*ShardedIndex)
-	if !ok {
-		t.Fatalf("Load returned %T, want *ShardedIndex", eng)
-	}
 	defer loaded.Close()
-	if loaded.Shards() != idx.Shards() {
-		t.Fatalf("shards: loaded %d, saved %d", loaded.Shards(), idx.Shards())
-	}
 	if loaded.Len() != idx.Len() {
 		t.Fatalf("Len: loaded %d, saved %d", loaded.Len(), idx.Len())
 	}
@@ -187,7 +185,7 @@ func TestSaveLoadShardedRoundTrip(t *testing.T) {
 		}
 		sameResults(t, "loaded vs saved", got, want)
 	}
-	// Round-robin insert routing resumes where the saved index left off.
+	// Inserts resume the ID space where the saved index left off.
 	id, err := loaded.Insert([]float64{0.1, 0.2, 0.3})
 	if err != nil {
 		t.Fatal(err)
@@ -204,6 +202,94 @@ func TestSaveLoadShardedRoundTrip(t *testing.T) {
 	}
 }
 
+// legacyShardedFile writes idx in the sharded file kind older releases
+// wrote: the shard header (shard count, insert cursor, ID-space size), the
+// routing table of one int32 per ID, then one engine section per shard.
+// rows overrides the header's ID-space size (the table always covers idx's
+// real one). Every shard section repeats idx's engine, which is only
+// well-formed for shards == 1 — more shards must be refused before their
+// sections are read.
+func legacyShardedFile(t *testing.T, idx *SDIndex, shards, rows uint64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeHeader(&buf, kindSharded); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []any{uint32(shards), uint32(0), rows, make([]int32, idx.Total())} {
+		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := uint64(0); i < shards; i++ {
+		if err := idx.eng.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestLoadOldShardedFormat loads sharded files as older releases wrote
+// them, through both Load and LoadSDIndex: a 1-shard file holds exactly one
+// engine section and loads as an SDIndex answering like the saved index;
+// more shards, or a damaged shard header, fail with a descriptive error.
+func TestLoadOldShardedFormat(t *testing.T) {
+	roles := []Role{Repulsive, Attractive, Repulsive}
+	data := dataset.Generate(dataset.Uniform, 300, len(roles), 54)
+	idx, err := NewSDIndex(data, roles, WithMemtableSize(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idx.Close()
+	churn(t, idx, len(roles), 100, 55)
+	total := uint64(idx.Total())
+	one := legacyShardedFile(t, idx, 1, total)
+	for _, tc := range []struct {
+		name string
+		file []byte
+		want string // error substring; "" = loads
+	}{
+		{"1-shard", one, ""},
+		{"3-shard", legacyShardedFile(t, idx, 3, total), "3-shard index"},
+		{"0-shard", legacyShardedFile(t, idx, 0, total), "implausible shard header"},
+		{"huge-table", legacyShardedFile(t, idx, 1, 1<<40), "implausible shard header"},
+		{"truncated-table", one[:6+16+8], "routing table"},
+		{"truncated-engine", one[:len(one)-3], "load"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, load := range []struct {
+				name string
+				f    func() (Engine, error)
+			}{
+				{"Load", func() (Engine, error) { return Load(bytes.NewReader(tc.file)) }},
+				{"LoadSDIndex", func() (Engine, error) { return LoadSDIndex(bytes.NewReader(tc.file)) }},
+			} {
+				eng, err := load.f()
+				if tc.want != "" {
+					if err == nil || !strings.Contains(err.Error(), tc.want) {
+						t.Fatalf("%s: error %v, want one mentioning %q", load.name, err, tc.want)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", load.name, err)
+				}
+				for _, q := range persistQueries(len(roles), roles, 56) {
+					want, err := idx.TopK(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := eng.TopK(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameResults(t, load.name, got, want)
+				}
+				eng.(*SDIndex).Close()
+			}
+		})
+	}
+}
+
 func TestLoadRejectsBadInput(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not an index file at all"))); err == nil {
 		t.Fatal("garbage accepted")
@@ -217,9 +303,11 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	if err := idx.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Kind mismatch is a clear error, not a misparse.
-	if _, err := LoadShardedIndex(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("LoadShardedIndex accepted a single-engine file")
+	// An unknown kind is a clear error, not a misparse.
+	bad := append([]byte(nil), buf.Bytes()...)
+	bad[5] = 9
+	if _, err := Load(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "unknown index kind 9") {
+		t.Fatalf("unknown kind: %v", err)
 	}
 	// Truncation anywhere fails loudly.
 	for _, cut := range []int{5, buf.Len() / 2, buf.Len() - 3} {

@@ -282,12 +282,14 @@ func TestPlanCache(t *testing.T) {
 	}
 }
 
-// TestShardedStats: the sharded stats surface must sum per-shard work and
-// report per-shard plan-cache hits, with answers identical to the fast path.
+// TestShardedStats: on a pooled multi-segment index the stats surface must
+// sum the per-segment tasks' work and report the plan-cache hit once, with
+// answers identical to the fast path. (The name predates the single-engine
+// index.)
 func TestShardedStats(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 4_000, 4, 13)
 	roles := []sdquery.Role{sdquery.Repulsive, sdquery.Attractive, sdquery.Repulsive, sdquery.Attractive}
-	idx, err := sdquery.NewShardedIndex(data, roles, sdquery.WithShards(4))
+	idx, err := sdquery.NewSDIndex(data, roles, sdquery.WithWorkers(4), sdquery.WithMaxSegmentRows(1_000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +300,7 @@ func TestShardedStats(t *testing.T) {
 		Roles:   roles,
 		Weights: []float64{0.8, 0.5, 0.3, 0.9},
 	}
-	if _, _, err := idx.TopKWithStats(q); err != nil { // warm per-shard caches
+	if _, _, err := idx.TopKWithStats(q); err != nil { // warm the plan cache
 		t.Fatal(err)
 	}
 	res, st, err := idx.TopKWithStats(q)
@@ -306,14 +308,14 @@ func TestShardedStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.Fetched <= 0 || st.Scored <= 0 || st.Rounds <= 0 {
-		t.Fatalf("sharded stats not aggregated: %+v", st)
+		t.Fatalf("segment stats not aggregated: %+v", st)
 	}
-	if st.Subproblems < idx.Shards() {
-		t.Fatalf("Subproblems %d < shard count %d", st.Subproblems, idx.Shards())
+	if st.Segments != 4 || st.Subproblems < st.Segments {
+		t.Fatalf("stats report %d segments and %d subproblems, want 4 segments with at least one subproblem each",
+			st.Segments, st.Subproblems)
 	}
-	if st.PlanCacheHits != idx.Shards() {
-		t.Fatalf("warm sharded query reported %d plan-cache hits, want one per shard (%d)",
-			st.PlanCacheHits, idx.Shards())
+	if st.PlanCacheHits != 1 {
+		t.Fatalf("warm query reported %d plan-cache hits, want 1", st.PlanCacheHits)
 	}
 	want, err := idx.TopK(q)
 	if err != nil {

@@ -44,11 +44,11 @@ type Result struct {
 
 // Engine answers SD-Queries over a dataset. All provided engines return
 // score-identical answers; they differ in indexing strategy and therefore
-// speed. Every engine is safe for concurrent TopK calls. SDIndex and
-// ShardedIndex additionally support fully concurrent updates: their
-// queries read an atomically loaded snapshot of an immutable segment
-// store (no lock on the read path), while Insert/Remove/compaction
-// publish new snapshots without blocking readers. The baseline engines
+// speed. Every engine is safe for concurrent TopK calls. SDIndex
+// additionally supports fully concurrent updates: its queries read an
+// atomically loaded snapshot of an immutable segment store (no lock on the
+// read path), while Insert/Remove/compaction publish new snapshots without
+// blocking readers. The baseline engines
 // (scan, TA, BRS, PE) are read-only.
 type Engine interface {
 	// TopK returns the q.K highest-scoring points, best first. It returns

@@ -153,7 +153,7 @@ func TestCacheInvalidationOnSwap(t *testing.T) {
 func TestCoalescedSwapDims(t *testing.T) {
 	idxA := testIndex(t, 400, 4)
 	roles3 := []sdquery.Role{sdquery.Repulsive, sdquery.Attractive, sdquery.Repulsive}
-	idxB, err := sdquery.NewShardedIndex(dataset.Generate(dataset.Uniform, 400, len(roles3), 8), roles3, sdquery.WithShards(2))
+	idxB, err := sdquery.NewSDIndex(dataset.Generate(dataset.Uniform, 400, len(roles3), 8), roles3, sdquery.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,18 +17,18 @@ import (
 	"repro/internal/faultfs"
 )
 
-// durableTestIndex builds a WAL-backed sharded index over fs (nil = real
+// durableTestIndex builds a WAL-backed pooled index over fs (nil = real
 // filesystem at dir).
-func durableTestIndex(t *testing.T, fs faultfs.FS, dir string, n int, seed int64, opts ...sdquery.SDOption) *sdquery.ShardedIndex {
+func durableTestIndex(t *testing.T, fs faultfs.FS, dir string, n int, seed int64, opts ...sdquery.SDOption) *sdquery.SDIndex {
 	t.Helper()
 	data := dataset.Generate(dataset.Uniform, n, len(testRoles()), seed)
 	all := append([]sdquery.SDOption{
-		sdquery.WithShards(2), sdquery.WithWAL(dir), sdquery.WithMemtableSize(32),
+		sdquery.WithWorkers(2), sdquery.WithWAL(dir), sdquery.WithMemtableSize(32),
 	}, opts...)
 	if fs != nil {
 		all = append(all, sdquery.WithWALFS(fs))
 	}
-	idx, err := sdquery.NewShardedIndex(data, testRoles(), all...)
+	idx, err := sdquery.NewSDIndex(data, testRoles(), all...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestWALShutdownSyncs(t *testing.T) {
 
 	// Power loss after the drain: only fsynced bytes survive. The drained
 	// log must still hold the acknowledged insert.
-	re, err := sdquery.OpenShardedIndex("idx", sdquery.WithWALFS(fs.PowerFailClone()))
+	re, err := sdquery.OpenSDIndex("idx", sdquery.WithWALFS(fs.PowerFailClone()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +195,8 @@ func TestWALShutdownSyncs(t *testing.T) {
 func TestWALCrashRecoveryE2E(t *testing.T) {
 	dir := t.TempDir() + "/idx"
 	data := dataset.Generate(dataset.Uniform, 300, len(testRoles()), 41)
-	idx, err := sdquery.NewShardedIndex(data, testRoles(),
-		sdquery.WithShards(2), sdquery.WithWAL(dir), sdquery.WithMemtableSize(32))
+	idx, err := sdquery.NewSDIndex(data, testRoles(),
+		sdquery.WithWorkers(2), sdquery.WithWAL(dir), sdquery.WithMemtableSize(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestWALCrashRecoveryE2E(t *testing.T) {
 	ts.Close()
 	srv.Close()
 
-	re, err := sdquery.OpenShardedIndex(dir)
+	re, err := sdquery.OpenSDIndex(dir)
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -256,7 +256,7 @@ func TestWALCrashRecoveryE2E(t *testing.T) {
 
 	// Oracle: a fresh, log-less index holding exactly the acknowledged
 	// state.
-	oracle, err := sdquery.NewShardedIndex(rows, testRoles(), sdquery.WithShards(2))
+	oracle, err := sdquery.NewSDIndex(rows, testRoles(), sdquery.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

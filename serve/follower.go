@@ -168,36 +168,35 @@ func mustReadAll(r io.Reader) []byte {
 	return data
 }
 
-// bootstrap pulls a full snapshot set and assembles a serving index from it.
+// bootstrap pulls the leader's snapshot and assembles a serving index from it.
 func (f *followerState) bootstrap() (Index, string, error) {
 	m, err := f.manifest()
 	if err != nil {
 		return nil, "", err
 	}
-	readers := make([]io.Reader, m.Shards)
-	for si := 0; si < m.Shards; si++ {
-		resp, err := f.client.Get(fmt.Sprintf("%s/v1/repl/segment?shard=%d", f.leaderURL, si))
-		if err != nil {
-			return nil, "", fmt.Errorf("segment %d: %w", si, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			resp.Body.Close()
-			return nil, "", fmt.Errorf("segment %d: leader answered %d", si, resp.StatusCode)
-		}
-		if src := resp.Header.Get(headerReplSource); src != m.Source {
-			// The leader swapped or restarted between the manifest and this
-			// segment; the set would mix histories. Caller retries.
-			resp.Body.Close()
-			return nil, "", fmt.Errorf("segment %d: leader source changed mid-bootstrap (%s → %s)", si, m.Source, src)
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return nil, "", fmt.Errorf("segment %d: %w", si, err)
-		}
-		readers[si] = bytes.NewReader(data)
+	if m.Shards != 1 {
+		return nil, "", fmt.Errorf("manifest: leader exports %d snapshot streams; a follower reads exactly 1", m.Shards)
 	}
-	idx, err := sdquery.NewFollowerIndex(readers, f.loadOpts...)
+	resp, err := f.client.Get(f.leaderURL + "/v1/repl/segment?shard=0")
+	if err != nil {
+		return nil, "", fmt.Errorf("segment: %w", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		return nil, "", fmt.Errorf("segment: leader answered %d", resp.StatusCode)
+	}
+	if src := resp.Header.Get(headerReplSource); src != m.Source {
+		// The leader swapped or restarted between the manifest and the
+		// segment; the pair would mix histories. Caller retries.
+		resp.Body.Close()
+		return nil, "", fmt.Errorf("segment: leader source changed mid-bootstrap (%s → %s)", m.Source, src)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, "", fmt.Errorf("segment: %w", err)
+	}
+	idx, err := sdquery.NewFollowerIndex(bytes.NewReader(data), f.loadOpts...)
 	if err != nil {
 		return nil, "", err
 	}

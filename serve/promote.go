@@ -56,7 +56,7 @@ func WithPromotionWALDir(dir string) Option {
 }
 
 // walAttacher is the index capability promotion needs for durability —
-// implemented by ShardedIndex (the type every follower serves).
+// implemented by SDIndex (the type every follower serves).
 type walAttacher interface {
 	AttachWAL(dir string, opts ...sdquery.SDOption) error
 }

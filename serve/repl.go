@@ -71,7 +71,7 @@ const (
 )
 
 // replSource is the index capability the leader endpoints need — implemented
-// by ShardedIndex and SDIndex (via singleIndex embedding).
+// by SDIndex.
 type replSource interface {
 	ReplShards() int
 	ShardLSNs() []uint64

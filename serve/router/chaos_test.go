@@ -54,8 +54,8 @@ func proxied(t *testing.T, ts *httptest.Server) *netfault.Proxy {
 // chaosLeader builds a WAL-backed leader over the given rows/IDs.
 func chaosLeader(t *testing.T, rows [][]float64, ids []int) *chaosNode {
 	t.Helper()
-	idx, err := sdquery.NewShardedIndexWithIDs(rows, ids, testRoles(),
-		sdquery.WithShards(2), sdquery.WithWAL(t.TempDir()), sdquery.WithSyncPolicy(sdquery.SyncNever))
+	idx, err := sdquery.NewSDIndexWithIDs(rows, ids, testRoles(),
+		sdquery.WithWorkers(2), sdquery.WithWAL(t.TempDir()), sdquery.WithSyncPolicy(sdquery.SyncNever))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func (o *oracleRows) server(t *testing.T) *httptest.Server {
 	for i, id := range ids {
 		rows[i] = o.rows[id]
 	}
-	idx, err := sdquery.NewShardedIndexWithIDs(rows, ids, testRoles(), sdquery.WithShards(3))
+	idx, err := sdquery.NewSDIndexWithIDs(rows, ids, testRoles(), sdquery.WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func clusterFromRows(t *testing.T, data [][]float64, names []string, slots int) 
 	servers := make([]*httptest.Server, len(names))
 	cfg := Config{Slots: slots, Seed: 1, Retries: 1, BackoffBase: 5 * time.Millisecond, TryTimeout: 5 * time.Second}
 	for pi, name := range names {
-		idx, err := sdquery.NewShardedIndexWithIDs(partRows[pi], partIDs[pi], testRoles(), sdquery.WithShards(2))
+		idx, err := sdquery.NewSDIndexWithIDs(partRows[pi], partIDs[pi], testRoles(), sdquery.WithWorkers(2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func clusterFromRows(t *testing.T, data [][]float64, names []string, slots int) 
 func TestScatterGatherByteIdentity(t *testing.T) {
 	data := dataset.Generate(dataset.Uniform, 4_000, len(testRoles()), 51)
 
-	oracle, err := sdquery.NewShardedIndex(data, testRoles(), sdquery.WithShards(3))
+	oracle, err := sdquery.NewSDIndex(data, testRoles(), sdquery.WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRouterWriteAndRead(t *testing.T) {
 
 	// Oracle receives the same rows (IDs implicit: seeded space then extras
 	// in order — the router allocated exactly those).
-	oracle, err := sdquery.NewShardedIndex(append(append([][]float64{}, data...), extra...), testRoles(), sdquery.WithShards(3))
+	oracle, err := sdquery.NewSDIndex(append(append([][]float64{}, data...), extra...), testRoles(), sdquery.WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}

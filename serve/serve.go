@@ -1,6 +1,6 @@
 // Package serve is the production HTTP serving layer over the SD-Query
-// engines: an HTTP/JSON API on top of ShardedIndex (or any Index), built
-// for heavy concurrent traffic.
+// engines: an HTTP/JSON API on top of SDIndex (or any Index), built for
+// heavy concurrent traffic.
 //
 //	POST   /v1/topk          one SD-Query → top-k results
 //	POST   /v1/batch         many queries in one call
@@ -56,8 +56,8 @@ import (
 	sdquery "repro"
 )
 
-// Index is the engine surface the server needs. *sdquery.ShardedIndex
-// implements it directly; wrap an *sdquery.SDIndex with AsIndex.
+// Index is the engine surface the server needs; *sdquery.SDIndex implements
+// it.
 type Index interface {
 	TopK(q sdquery.Query) ([]sdquery.Result, error)
 	TopKContext(ctx context.Context, q sdquery.Query) ([]sdquery.Result, error)
@@ -87,9 +87,6 @@ type compactioner interface {
 type closer interface {
 	Close()
 }
-type sharder interface {
-	Shards() int
-}
 
 // walStater exposes write-ahead-log health — implemented by WithWAL indexes.
 // A sticky WALStats.Err flips the server into read-only degradation: writes
@@ -110,9 +107,9 @@ type syncer interface {
 	Sync() error
 }
 
-var _ Index = (*sdquery.ShardedIndex)(nil)
-var _ segmenter = (*sdquery.ShardedIndex)(nil)
-var _ compactioner = (*sdquery.ShardedIndex)(nil)
+var _ Index = (*sdquery.SDIndex)(nil)
+var _ segmenter = (*sdquery.SDIndex)(nil)
+var _ compactioner = (*sdquery.SDIndex)(nil)
 
 // Option configures a Server.
 type Option func(*config)

@@ -24,10 +24,10 @@ func testRoles() []sdquery.Role {
 	return []sdquery.Role{sdquery.Repulsive, sdquery.Attractive, sdquery.Repulsive, sdquery.Attractive}
 }
 
-func testIndex(t *testing.T, n int, seed int64, opts ...sdquery.SDOption) *sdquery.ShardedIndex {
+func testIndex(t *testing.T, n int, seed int64, opts ...sdquery.SDOption) *sdquery.SDIndex {
 	t.Helper()
 	data := dataset.Generate(dataset.Uniform, n, len(testRoles()), seed)
-	idx, err := sdquery.NewShardedIndex(data, testRoles(), append([]sdquery.SDOption{sdquery.WithShards(4)}, opts...)...)
+	idx, err := sdquery.NewSDIndex(data, testRoles(), append([]sdquery.SDOption{sdquery.WithWorkers(4)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func post(t *testing.T, client *http.Client, url string, body []byte) (int, []by
 }
 
 // TestTopKGolden pins the acceptance contract: a /v1/topk response is
-// byte-identical to encoding the results of a direct ShardedIndex.TopK call,
+// byte-identical to encoding the results of a direct SDIndex.TopK call,
 // with the default options and with the deprecated coalescing options,
 // which must change nothing.
 func TestTopKGolden(t *testing.T) {

@@ -29,8 +29,8 @@ import (
 func TestServerConcurrentStress(t *testing.T) {
 	roles := testRoles()
 	data := dataset.Generate(dataset.Uniform, 2_000, len(roles), 50)
-	idx, err := sdquery.NewShardedIndex(data, roles,
-		sdquery.WithShards(4), sdquery.WithMemtableSize(16))
+	idx, err := sdquery.NewSDIndex(data, roles,
+		sdquery.WithWorkers(4), sdquery.WithMemtableSize(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,9 +39,9 @@ func TestServerConcurrentStress(t *testing.T) {
 	// The swap target: a second index persisted to disk, loaded by the
 	// admin endpoint mid-stress. Small memtable there too, so the post-swap
 	// index churns just as hard.
-	next, err := sdquery.NewShardedIndex(
+	next, err := sdquery.NewSDIndex(
 		dataset.Generate(dataset.Uniform, 1_500, len(roles), 51), roles,
-		sdquery.WithShards(2), sdquery.WithMemtableSize(16))
+		sdquery.WithWorkers(2), sdquery.WithMemtableSize(16))
 	if err != nil {
 		t.Fatal(err)
 	}

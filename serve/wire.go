@@ -29,7 +29,7 @@ import (
 //
 // Scores are encoded with encoding/json's shortest-roundtrip float
 // formatting, so a response is byte-identical to encoding the results of a
-// direct ShardedIndex.TopK call — the property the e2e golden tests pin.
+// direct SDIndex.TopK call — the property the e2e golden tests pin.
 // Unknown fields are rejected: a typo'd knob fails loudly with a 400
 // instead of being silently ignored.
 

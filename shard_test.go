@@ -72,17 +72,24 @@ func randomQuery(rng *rand.Rand, roles []Role, n int) Query {
 	return q
 }
 
+// The TestShardedIndex* tests below cover pooled execution — segment
+// fan-out, BatchTopK, concurrent builds — on an SDIndex built WithWorkers.
+// They keep the names of the in-process sharded index those paths replaced.
+
 func TestShardedIndexMatchesScanByteForByte(t *testing.T) {
 	roles := []Role{Repulsive, Attractive, Repulsive, Attractive}
-	for _, shards := range []int{1, 2, 3, 7} {
-		data := tieProneData(500, len(roles), int64(shards))
-		idx, err := NewShardedIndex(data, roles, WithShards(shards), WithWorkers(3))
+	for _, segs := range []int{1, 2, 3, 7} {
+		data := tieProneData(500, len(roles), int64(segs))
+		idx, err := NewSDIndex(data, roles, WithWorkers(3), WithMaxSegmentRows((len(data)+segs-1)/segs))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer idx.Close()
 		if idx.Len() != len(data) {
 			t.Fatalf("Len = %d, want %d", idx.Len(), len(data))
+		}
+		if got, _ := idx.Segments(); got != segs {
+			t.Fatalf("Segments = %d, want %d", got, segs)
 		}
 		rng := rand.New(rand.NewSource(99))
 		for i := 0; i < 50; i++ {
@@ -91,7 +98,7 @@ func TestShardedIndexMatchesScanByteForByte(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResults(t, "sharded vs oracle", got, oracleTopK(data, nil, q))
+			sameResults(t, "pooled vs oracle", got, oracleTopK(data, nil, q))
 		}
 	}
 }
@@ -99,7 +106,7 @@ func TestShardedIndexMatchesScanByteForByte(t *testing.T) {
 func TestShardedIndexInsertRemove(t *testing.T) {
 	roles := []Role{Repulsive, Attractive, Attractive}
 	data := tieProneData(120, len(roles), 5)
-	idx, err := NewShardedIndex(data, roles, WithShards(4))
+	idx, err := NewSDIndex(data, roles, WithWorkers(4), WithMaxSegmentRows(40), WithMemtableSize(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +161,7 @@ func TestShardedIndexInsertRemove(t *testing.T) {
 func TestShardedIndexBatchMatchesTopK(t *testing.T) {
 	roles := []Role{Repulsive, Attractive}
 	data := tieProneData(300, len(roles), 8)
-	idx, err := NewShardedIndex(data, roles, WithShards(3), WithWorkers(4))
+	idx, err := NewSDIndex(data, roles, WithWorkers(4), WithMaxSegmentRows(100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +187,7 @@ func TestShardedIndexBatchMatchesTopK(t *testing.T) {
 func TestShardedIndexBatchReportsLowestFailingQuery(t *testing.T) {
 	roles := []Role{Repulsive, Attractive}
 	data := tieProneData(50, len(roles), 9)
-	idx, err := NewShardedIndex(data, roles, WithShards(2))
+	idx, err := NewSDIndex(data, roles, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,19 +204,34 @@ func TestShardedIndexBatchReportsLowestFailingQuery(t *testing.T) {
 	}
 }
 
+// TestShardedIndexShardAndWorkerKnobs pins the deprecated sharding names:
+// NewShardedIndex and NewShardedIndexWithIDs build a pooled SDIndex,
+// WithShards changes nothing, and Shards reports 1.
 func TestShardedIndexShardAndWorkerKnobs(t *testing.T) {
 	roles := []Role{Repulsive, Attractive}
 	data := tieProneData(10, len(roles), 1)
+	ids := make([]int, len(data))
+	for i := range ids {
+		ids[i] = 3 * i
+	}
 	idx, err := NewShardedIndex(data, roles, WithShards(64), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer idx.Close()
-	if idx.Shards() != len(data) {
-		t.Fatalf("Shards = %d, want clamp to dataset size %d", idx.Shards(), len(data))
+	withIDs, err := NewShardedIndexWithIDs(data, ids, roles, WithShards(4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if idx.Workers() != 2 {
-		t.Fatalf("Workers = %d, want 2", idx.Workers())
+	defer withIDs.Close()
+	if idx.Shards() != 1 || withIDs.Shards() != 1 {
+		t.Fatalf("Shards = %d, %d, want 1", idx.Shards(), withIDs.Shards())
+	}
+	if idx.pool == nil || idx.pool.workers != 2 {
+		t.Fatal("NewShardedIndex with WithWorkers(2) must own a 2-worker pool")
+	}
+	if withIDs.pool == nil {
+		t.Fatal("NewShardedIndexWithIDs must place WithWorkers(0) first")
 	}
 	if got := idx.Roles(); len(got) != len(roles) || got[0] != roles[0] || got[1] != roles[1] {
 		t.Fatalf("Roles = %v, want %v", got, roles)
@@ -217,12 +239,30 @@ func TestShardedIndexShardAndWorkerKnobs(t *testing.T) {
 	if idx.Bytes() <= 0 {
 		t.Fatal("Bytes must be positive for a non-empty index")
 	}
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 20; i++ {
+		q := randomQuery(rng, roles, len(data))
+		want := oracleTopK(data, nil, q)
+		got, err := idx.TopK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, "NewShardedIndex", got, want)
+		got, err = withIDs.TopK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			want[j].ID *= 3
+		}
+		sameResults(t, "NewShardedIndexWithIDs", got, want)
+	}
 }
 
 func TestShardedIndexUsableAfterClose(t *testing.T) {
 	roles := []Role{Repulsive, Attractive}
 	data := tieProneData(60, len(roles), 2)
-	idx, err := NewShardedIndex(data, roles, WithShards(3))
+	idx, err := NewSDIndex(data, roles, WithWorkers(3), WithMaxSegmentRows(20))
 	if err != nil {
 		t.Fatal(err)
 	}

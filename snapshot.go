@@ -47,53 +47,6 @@ func (sn *Snapshot) TopKAppend(dst []Result, q Query) ([]Result, error) {
 	return sn.s.appendVia(sn.view, dst, q, nil)
 }
 
-// ShardedSnapshot is the cross-shard analogue of Snapshot: one pinned
-// per-shard view for every shard, acquired atomically with respect to the
-// index's writers, so the set of global rows it sees is a consistent cut.
-// Queries fan out over the pinned views on the index's worker pool exactly
-// like live queries, still without taking any shard lock.
-type ShardedSnapshot struct {
-	s     *ShardedIndex
-	views []core.View
-}
-
-// Snapshot acquires a consistent cross-shard snapshot. It briefly takes the
-// index's routing lock — serializing only against Insert and Remove, never
-// against queries — so a write is either visible on its shard's view or not
-// yet routed at all.
-func (s *ShardedIndex) Snapshot() *ShardedSnapshot {
-	sn := &ShardedSnapshot{s: s, views: make([]core.View, len(s.shards))}
-	s.mu.Lock()
-	for i, sh := range s.shards {
-		sn.views[i] = sh.eng.View()
-	}
-	s.mu.Unlock()
-	return sn
-}
-
-// Len reports the number of live rows across the snapshot's shard views.
-func (sn *ShardedSnapshot) Len() int {
-	total := 0
-	for _, v := range sn.views {
-		total += v.Len()
-	}
-	return total
-}
-
-// TopK answers the query against the snapshot's frozen row set, merging
-// per-shard answers exactly like the live path.
-func (sn *ShardedSnapshot) TopK(q Query) ([]Result, error) {
-	s := sn.s
-	spec := q.spec()
-	p := len(s.shards)
-	c := s.getCtx(p)
-	defer s.putCtx(c)
-	if err := s.fanOutQuery(spec, c, nil, sn.views, nil); err != nil {
-		return nil, err
-	}
-	return mergeShards(make([]Result, 0, q.K), c.bufs[:p], c.pos, q.K), nil
-}
-
 // appendVia is the shared SDIndex/Snapshot append path: run the core query
 // against the given view into a pooled scratch buffer, then convert into
 // dst. A non-nil done channel cancels the aggregation (the TopKContext
